@@ -7,6 +7,6 @@ dagger coincidence on finite relations (`dagger`).  `specs` holds the
 JSON schemas and `cli` the command-line front end.
 """
 
-from . import cli, dagger, fixcat, lattice, signature, specs
+from . import dagger, fixcat, lattice, signature, specs
 
-__all__ = ["cli", "dagger", "fixcat", "lattice", "signature", "specs"]
+__all__ = ["dagger", "fixcat", "lattice", "signature", "specs"]

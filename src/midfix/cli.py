@@ -21,11 +21,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _read_input(args) -> str:
-    if getattr(args, "stdin", False):
-        return sys.stdin.read()
-    with open(args.path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _read_spec(args) -> dict:
+    if args.stdin:
+        return specs.load_json(sys.stdin.read())
+    if args.path is None:
+        raise specs.ParseError("<input>", "give a spec file path or --stdin")
+    return _read_path(args.path)
 
 
 def _read_path(path: str) -> dict:
@@ -62,7 +63,7 @@ def emit_chain_dot(stage_sizes: list[int], connector_base: str) -> str:
 
 
 def cmd_lattice_fixpoints(args) -> tuple[dict, str]:
-    lattice, f = specs.parse_lattice(specs.load_json(_read_input(args)))
+    lattice, f = specs.parse_lattice(_read_spec(args))
     if f is None:
         raise specs.ParseError("lattice", "this command needs a 'map' entry")
     report = lat.classify_points(f)
@@ -82,7 +83,7 @@ def cmd_lattice_fixpoints(args) -> tuple[dict, str]:
 
 
 def cmd_lattice_galois(args) -> tuple[dict, str]:
-    lattice, f = specs.parse_lattice(specs.load_json(_read_input(args)))
+    lattice, f = specs.parse_lattice(_read_spec(args))
     if f is None:
         raise specs.ParseError("lattice", "this command needs a 'map' entry")
     report = lat.galois_check(f)
@@ -104,7 +105,7 @@ def cmd_lattice_galois(args) -> tuple[dict, str]:
 
 
 def cmd_mu(args) -> tuple[dict, str]:
-    b = specs.parse_coalgebra(specs.load_json(_read_input(args)))
+    b = specs.parse_coalgebra(_read_spec(args))
     classes = fixcat.mu_enumerate(b, args.max_rank, args.cap)
     out = {
         "command": "mu",
@@ -122,7 +123,7 @@ def cmd_mu(args) -> tuple[dict, str]:
 
 
 def cmd_nu(args) -> tuple[dict, str]:
-    a = specs.parse_algebra(specs.load_json(_read_input(args)))
+    a = specs.parse_algebra(_read_spec(args))
     approx = fixcat.nu_approx(a, args.depth, args.cap)
     compatible = all(
         approx.projections[k][t] in approx.levels[k]
@@ -151,7 +152,7 @@ def cmd_adjunction(args) -> tuple[dict, str]:
 
 
 def cmd_trace(args) -> tuple[dict, str]:
-    b = specs.parse_coalgebra(specs.load_json(_read_input(args)))
+    b = specs.parse_coalgebra(_read_spec(args))
     elements = [args.element] if args.element is not None else list(b.carrier)
     for x in elements:
         if x not in b.carrier:
@@ -159,7 +160,7 @@ def cmd_trace(args) -> tuple[dict, str]:
     traces = {}
     compatible = True
     for x in elements:
-        stream = fixcat.infinite_trace(b, x, args.depth)
+        stream = fixcat.infinite_trace(b, x)
         compatible = compatible and stream.check_compatible(args.depth)
         traces[x] = [term_to_str(stream.component(k)) for k in range(args.depth + 1)]
     out = {
@@ -201,7 +202,7 @@ def cmd_rel_dagger(args) -> tuple[dict, str]:
 
 
 def cmd_rel_coincidence(args) -> tuple[dict, str]:
-    obj = specs.load_json(_read_input(args))
+    obj = _read_spec(args)
     functor = specs.parse_functor(specs._require(obj, "functor", "rel-coincidence"))
     c = specs.parse_relation(specs._require(obj, "coalgebra", "rel-coincidence"))
     report = dagger.coincidence_check(functor, c, args.bound)
@@ -213,6 +214,14 @@ def cmd_rel_coincidence(args) -> tuple[dict, str]:
 # -- driver --------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """argparse type of the size and depth options: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="midfix",
@@ -222,12 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, path=True):
+    def common(p):
         p.add_argument("--format", choices=["text", "json", "dot"], default="json")
-        p.add_argument("--seed", type=int, default=0)
-        if path:
-            p.add_argument("path", nargs="?", help="spec file (JSON)")
-            p.add_argument("--stdin", action="store_true", help="read the spec from stdin")
+        p.add_argument("path", nargs="?", help="spec file (JSON)")
+        p.add_argument("--stdin", action="store_true", help="read the spec from stdin")
 
     p = sub.add_parser("lattice-fixpoints", help="classify pre/post/fixed points")
     common(p)
@@ -239,43 +246,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mu", help="enumerate colimit classes of a coalgebra")
     common(p)
-    p.add_argument("--max-rank", type=int, default=fixcat.DEFAULT_MAX_RANK)
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--max-rank", type=_count, default=fixcat.DEFAULT_MAX_RANK)
+    p.add_argument("--cap", type=_count, default=100_000)
     p.set_defaults(handler=cmd_mu)
 
     p = sub.add_parser("nu", help="depth-bounded limit stages of an algebra")
     common(p)
-    p.add_argument("--depth", type=int, default=fixcat.DEFAULT_DEPTH)
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--depth", type=_count, default=fixcat.DEFAULT_DEPTH)
+    p.add_argument("--cap", type=_count, default=100_000)
     p.set_defaults(handler=cmd_nu)
 
     p = sub.add_parser("adjunction", help="verify the hom-set correspondence")
     p.add_argument("coalgebra", help="coalgebra spec file")
     p.add_argument("algebra", help="algebra spec file")
     p.add_argument("--format", choices=["text", "json", "dot"], default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--max-rank", type=int, default=5)
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--depth", type=_count, default=5)
+    p.add_argument("--max-rank", type=_count, default=5)
+    p.add_argument("--cap", type=_count, default=100_000)
     p.set_defaults(handler=cmd_adjunction)
 
     p = sub.add_parser("trace", help="infinite-trace stream of a generator")
     common(p)
     p.add_argument("--element", default=None)
-    p.add_argument("--depth", type=int, default=fixcat.DEFAULT_DEPTH)
+    p.add_argument("--depth", type=_count, default=fixcat.DEFAULT_DEPTH)
     p.set_defaults(handler=cmd_trace)
 
     p = sub.add_parser("rel-dagger", help="verify the dagger-category laws")
     p.add_argument("paths", nargs="*", help="extra relation spec files")
     p.add_argument("--format", choices=["text", "json", "dot"], default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=2, help="exhaustive check up to this size")
-    p.add_argument("--samples", type=int, default=100, help="extra random relations")
+    p.add_argument("--size", type=_count, default=2, help="exhaustive check up to this size")
+    p.add_argument("--samples", type=_count, default=100, help="extra random relations")
     p.set_defaults(handler=cmd_rel_dagger)
 
     p = sub.add_parser("rel-coincidence", help="verify the dagger coincidence chains")
     common(p)
-    p.add_argument("--bound", type=int, default=dagger.DEFAULT_CHAIN_BOUND)
+    p.add_argument("--bound", type=_count, default=dagger.DEFAULT_CHAIN_BOUND)
     p.set_defaults(handler=cmd_rel_coincidence)
 
     return parser
@@ -304,6 +310,7 @@ def main(argv=None) -> int:
         fixcat.FixcatError,
         dagger.RelError,
         OSError,
+        RecursionError,
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

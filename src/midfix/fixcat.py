@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 from .signature import (
@@ -28,7 +28,9 @@ from .signature import (
     count_rank,
     enumerate_rank,
     f_enumerate,
+    fold,
     map_leaves,
+    subst,
     term_to_str,
     unfold,
     unfold_once,
@@ -37,7 +39,6 @@ from .signature import (
 
 DEFAULT_MAX_RANK = 8
 DEFAULT_DEPTH = 8
-DEFAULT_CARRIER_CAP = 6
 
 
 class FixcatError(ValueError):
@@ -55,11 +56,12 @@ class Coalgebra:
     sig: Signature
     carrier: tuple
     structure: tuple  # sorted pairs (x, Term of rank 1 over carrier)
+    _rules: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = dict(self.structure)
+        rules = dict(self.structure)
         for x in self.carrier:
-            if x not in table:
+            if x not in rules:
                 raise FixcatError(f"structure not total: missing {x!r}")
         for x, t in self.structure:
             if t.rank != 1 or t.sig != self.sig:
@@ -67,12 +69,14 @@ class Coalgebra:
             for leaf in t.leaves():
                 if leaf not in self.carrier:
                     raise FixcatError(f"structure at {x!r} uses unknown {leaf!r}")
+        object.__setattr__(self, "_rules", rules)
 
     def rule(self, x) -> Term:
-        return dict(self.structure)[x]
+        return self._rules[x]
 
     def rules(self) -> dict:
-        return dict(self.structure)
+        """The structure as a dict x -> b(x); shared, not a copy."""
+        return self._rules
 
 
 def coalgebra(sig: Signature, carrier: Iterable, structure: Mapping) -> Coalgebra:
@@ -87,24 +91,32 @@ class Algebra:
     sig: Signature
     carrier: tuple
     structure: tuple  # sorted pairs (Term of rank 1 over carrier, element)
+    table: dict = field(init=False, repr=False, compare=False)  # (symbol, args) -> value
 
     def __post_init__(self):
-        table = dict(self.structure)
+        table = {}
+        for t, value in self.structure:
+            if t.rank != 1 or t.sig != self.sig:
+                raise FixcatError(f"structure entry {term_to_str(t)} is not a rank-1 term")
+            table[_flat(t)] = value
         for t in f_enumerate(self.sig, self.carrier):
-            if t not in table:
+            if _flat(t) not in table:
                 raise FixcatError(f"structure not total: missing {term_to_str(t)}")
         for t, value in self.structure:
             if value not in self.carrier:
                 raise FixcatError(f"value {value!r} outside the carrier")
+        object.__setattr__(self, "table", table)
 
     def apply(self, symbol: str, values: tuple):
         if len(values) != self.sig.arity(symbol):
             raise ArityMismatch(f"{symbol!r} applied to {len(values)} arguments")
-        key = Term(self.sig, 1, ("op", symbol, tuple(("var", v) for v in values)))
-        return dict(self.structure)[key]
+        return self.table[(symbol, tuple(values))]
 
-    def table(self) -> dict:
-        return dict(self.structure)
+
+def _flat(t: Term) -> tuple:
+    """A rank-1 term sigma(x_1..x_k) as the table key (sigma, (x_1..x_k))."""
+    _, symbol, children = t.tree
+    return symbol, tuple(leaf for _, leaf in children)
 
 
 def algebra(sig: Signature, carrier: Iterable, structure: Mapping) -> Algebra:
@@ -124,22 +136,28 @@ class CoalgToAlgHom:
     source: Coalgebra
     target: Algebra
     mapping: tuple  # sorted pairs (x, f(x))
+    _map: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = dict(self.mapping)
-        table = self.target.table()
         for x in self.source.carrier:
             if x not in f:
                 raise FixcatError(f"hom not total: missing {x!r}")
-            expected = table[map_leaves(self.source.rule(x), f)]
-            if f[x] != expected:
+            if f[x] != _pivot(self.source, self.target, f, x):
                 raise FixcatError(f"square does not commute at {x!r}")
+        object.__setattr__(self, "_map", f)
 
     def __call__(self, x):
-        return dict(self.mapping)[x]
+        return self._map[x]
 
     def as_dict(self) -> dict:
         return dict(self.mapping)
+
+
+def _pivot(b: Coalgebra, a: Algebra, f: Mapping, x):
+    """a(F(f)(b(x))): the value the pivot square demands of f at x."""
+    symbol, leaves = _flat(b.rule(x))
+    return a.table[(symbol, tuple(f[y] for y in leaves))]
 
 
 def enumerate_coalg_to_alg(
@@ -151,11 +169,10 @@ def enumerate_coalg_to_alg(
     total = len(a.carrier) ** len(b.carrier)
     if total > cap:
         raise CapExceeded(0, total, cap)
-    table = a.table()
     out = []
     for images in itertools.product(a.carrier, repeat=len(b.carrier)):
         f = dict(zip(b.carrier, images))
-        if all(f[x] == table[map_leaves(b.rule(x), f)] for x in b.carrier):
+        if all(f[x] == _pivot(b, a, f, x) for x in b.carrier):
             out.append(CoalgToAlgHom(b, a, tuple(sorted(f.items(), key=lambda p: str(p[0])))))
     return out
 
@@ -175,38 +192,40 @@ class ColimEq:
 
 
 def _match_trees(t1, t2, related: Callable) -> bool:
+    """Same shape and related leaves; stops at the first mismatch."""
     if t1[0] == "var" and t2[0] == "var":
         return related(t1[1], t2[1])
     if t1[0] == "op" and t2[0] == "op" and t1[1] == t2[1]:
-        return all(_match_trees(c1, c2, related) for c1, c2 in zip(t1[2], t2[2]))
+        for c1, c2 in zip(t1[2], t2[2]):
+            if not _match_trees(c1, c2, related):
+                return False
+        return True
     return False
 
 
 def colim_eq(b: Coalgebra) -> ColimEq:
-    """Saturate the closure: same root in b and all leaf pairs already related.
+    """Merge classes until stable: x and y join when b(x) and b(y) have the
+    same root symbol and their leaves lie pairwise in the same classes.
 
     The least fixpoint relates x and y exactly when some finite unfolding
-    of the two generators is syntactically equal; it is an equivalence
-    relation, re-closed transitively after each structural round.
+    of the two generators is syntactically equal.  Each round keys every
+    generator by (root symbol, classes of its leaves) and merges equal
+    keys; members of one class always share a key, so a round that yields
+    as many keys as there are classes has merged nothing.
     """
-    rel = {(x, x) for x in b.carrier}
-    rules = b.rules()
-    changed = True
-    while changed:
-        changed = False
-        for x, y in itertools.combinations(b.carrier, 2):
-            if (x, y) in rel:
-                continue
-            if _match_trees(rules[x].tree, rules[y].tree, lambda u, v: (u, v) in rel):
-                rel.add((x, y))
-                rel.add((y, x))
-                changed = True
-        for (x, y), (y2, z) in itertools.product(list(rel), repeat=2):
-            if y == y2 and (x, z) not in rel:
-                rel.add((x, z))
-                rel.add((z, x))
-                changed = True
-    return ColimEq(b, frozenset(rel))
+    classes = {x: i for i, x in enumerate(b.carrier)}
+    count = len(classes)
+    while True:
+        keys, merged = {}, {}
+        for x in b.carrier:
+            symbol, leaves = _flat(b.rule(x))
+            key = (symbol, tuple(classes[y] for y in leaves))
+            merged[x] = keys.setdefault(key, len(keys))
+        if len(keys) == count:
+            break
+        classes, count = merged, len(keys)
+    rel = frozenset((x, y) for x in b.carrier for y in b.carrier if classes[x] == classes[y])
+    return ColimEq(b, rel)
 
 
 @dataclass(frozen=True)
@@ -262,36 +281,24 @@ def mu_enumerate(
     ranks are carried forward by unfolding their canonical key, so dedup is
     a hash lookup rather than pairwise comparison.
     """
-    eq = colim_eq(b)
-    canon = _leaf_canon(b, eq)
-    rules = b.rules()
-
-    def canon_tree(tree):
-        if tree[0] == "var":
-            return ("var", canon[tree[1]])
-        return ("op", tree[1], tuple(canon_tree(c) for c in tree[2]))
-
+    canon = _leaf_canon(b, colim_eq(b))
+    canon_leaf = {x: ("var", y) for x, y in canon.items()}.__getitem__
     # unfolding a canonical key: each class representative unfolds to the
     # same canonical tree, so substituting canon(b(leaf)) is well defined
-    canon_rules = {x: canon_tree(rules[x].tree) for x in b.carrier}
-
-    def unfold_key(tree):
-        if tree[0] == "var":
-            return canon_rules[tree[1]]
-        return ("op", tree[1], tuple(unfold_key(c) for c in tree[2]))
+    canon_rules = {x: subst(b.rule(x).tree, canon_leaf) for x in b.carrier}
 
     classes: list[MuElement] = []
     frontier: dict = {}
     seen = 0
     for rank in range(max_rank + 1):
         if rank > 0:
-            frontier = {unfold_key(key): idx for key, idx in frontier.items()}
+            frontier = {subst(k, canon_rules.__getitem__): i for k, i in frontier.items()}
         terms = enumerate_rank(b.sig, b.carrier, rank, cap)
         seen += len(terms)
         if seen > cap:
             raise CapExceeded(rank, seen, cap)
         for t in sorted(terms, key=lambda t: t.sort_key()):
-            key = canon_tree(t.tree)
+            key = subst(t.tree, canon_leaf)
             if key not in frontier:
                 frontier[key] = len(classes)
                 classes.append(MuElement(b, rank, t))
@@ -311,26 +318,19 @@ def mu_algebra_apply(
     rank = max((e.rank for e in args), default=0)
     padded = [unfold(e.representative, rules, rank - e.rank) for e in args]
     tree = ("op", symbol, tuple(t.tree for t in padded))
-    return MuElement(b, rank + 1, Term(b.sig, rank + 1, tree))
+    return MuElement(b, rank + 1, Term.derived(b.sig, rank + 1, tree))
 
 
 def induced_alg_hom(f: CoalgToAlgHom, e: MuElement):
     """Fold a mu(b) point through the algebra; leaves evaluate through f."""
     if e.coalgebra != f.source:
         raise FixcatError("element over a different coalgebra")
-    a = f.target
-    fmap = f.as_dict()
-    table = a.table()
-
-    def evaluate(node):
-        if node[0] == "var":
-            return fmap[node[1]]
-        _, symbol, children = node
-        values = tuple(evaluate(c) for c in children)
-        key = Term(a.sig, 1, ("op", symbol, tuple(("var", v) for v in values)))
-        return table[key]
-
-    return evaluate(e.representative.tree)
+    fmap, table = f._map, f.target.table
+    return fold(
+        e.representative.tree,
+        lambda x, depth: fmap[x],
+        lambda symbol, values, depth: table[(symbol, values)],
+    )
 
 
 # -- the limit nu(a), depth-bounded -----------------------------------------
@@ -340,19 +340,16 @@ def collapse_bottom(t: Term, a: Algebra) -> Term:
     """Apply a to the deepest layer: F^{k+1}(A) -> F^k(A)."""
     if t.rank < 1:
         raise FixcatError("collapse needs rank >= 1")
-    table = a.table()
+    table = a.table
     bottom = t.rank - 1
 
-    def go(node, depth):
+    # leaves fold to their labels; the nodes at depth bottom become leaves
+    def op(symbol, children, depth):
         if depth == bottom:
-            _, symbol, children = node
-            key = Term(a.sig, 1, ("op", symbol, tuple(("var", c[1]) for c in children)))
-            return ("var", table[key])
-        if node[0] == "op" and not node[2]:
-            return node
-        return ("op", node[1], tuple(go(c, depth + 1) for c in node[2]))
+            return ("var", table[(symbol, children)])
+        return ("op", symbol, children)
 
-    return Term(t.sig, bottom, go(t.tree, 0))
+    return Term.derived(t.sig, bottom, fold(t.tree, lambda x, depth: x, op))
 
 
 @dataclass
@@ -384,10 +381,14 @@ class NuPointStream:
     component: Callable[[int], Term]
 
     def check_compatible(self, depth: int) -> bool:
-        return all(
-            collapse_bottom(self.component(k + 1), self.algebra) == self.component(k)
-            for k in range(depth)
-        )
+        """Each component collapses onto the previous one, up to depth."""
+        previous = self.component(0)
+        for k in range(1, depth + 1):
+            current = self.component(k)
+            if collapse_bottom(current, self.algebra) != previous:
+                return False
+            previous = current
+        return True
 
 
 def induced_coalg_hom(f: CoalgToAlgHom, x) -> NuPointStream:
@@ -395,14 +396,19 @@ def induced_coalg_hom(f: CoalgToAlgHom, x) -> NuPointStream:
     b, a = f.source, f.target
     if x not in b.carrier:
         raise FixcatError(f"{x!r} is not in the carrier")
-    rules = b.rules()
-    fmap = f.as_dict()
-    cache = [var_term(b.sig, x)]
+    rules, fmap = b.rules(), f._map
+    # only the latest unfolding is kept: components are read in rising
+    # order, and going back restarts from the generator
+    latest = [var_term(b.sig, x)]
 
     def component(k: int) -> Term:
-        while len(cache) <= k:
-            cache.append(unfold_once(cache[-1], rules))
-        return map_leaves(cache[k], fmap)
+        t = latest[0]
+        if t.rank > k:
+            t = var_term(b.sig, x)
+        while t.rank < k:
+            t = unfold_once(t, rules)
+        latest[0] = t
+        return map_leaves(t, fmap)
 
     return NuPointStream(a, component)
 
@@ -414,14 +420,10 @@ def terminal_coalgebra_approx(
     return nu_approx(one_element_algebra(sig), depth, cap)
 
 
-def infinite_trace(b: Coalgebra, x, depth: int = DEFAULT_DEPTH) -> NuPointStream:
+def infinite_trace(b: Coalgebra, x) -> NuPointStream:
     """The trace of x: the nu(1) point induced by the unique hom into 1."""
-    one = one_element_algebra(b.sig)
-    (hom,) = enumerate_coalg_to_alg(b, one)
-    stream = induced_coalg_hom(hom, x)
-    if not stream.check_compatible(depth):
-        raise AssertionError("trace stream violates the limit compatibility")
-    return stream
+    (hom,) = enumerate_coalg_to_alg(b, one_element_algebra(b.sig))
+    return induced_coalg_hom(hom, x)
 
 
 # -- structural checks -------------------------------------------------------
@@ -433,13 +435,7 @@ def _graft(sig: Signature, rank1: Term, pieces: Mapping, rank: int) -> Term:
     for leaf in rank1.leaves():
         if pieces[leaf].rank != rank:
             raise FixcatError("grafted pieces must share the stated rank")
-
-    def go(node):
-        if node[0] == "var":
-            return pieces[node[1]].tree
-        return ("op", node[1], tuple(go(c) for c in node[2]))
-
-    return Term(sig, rank + 1, go(rank1.tree))
+    return Term.derived(sig, rank + 1, subst(rank1.tree, lambda x: pieces[x].tree))
 
 
 def check_coalg_hom(src: Coalgebra, tgt: Coalgebra, g: Mapping) -> bool:
@@ -453,10 +449,9 @@ def check_coalg_hom(src: Coalgebra, tgt: Coalgebra, g: Mapping) -> bool:
 def check_alg_hom(src: Algebra, tgt: Algebra, h: Mapping) -> bool:
     """h : src -> tgt is an algebra homomorphism: h(src(t)) = tgt(F(h)(t))."""
     hmap = dict(h)
-    src_table, tgt_table = src.table(), tgt.table()
     return all(
-        hmap[src_table[t]] == tgt_table[map_leaves(t, hmap)]
-        for t in f_enumerate(src.sig, src.carrier)
+        hmap[src.table[(symbol, values)]] == tgt.table[(symbol, tuple(hmap[v] for v in values))]
+        for symbol, values in map(_flat, f_enumerate(src.sig, src.carrier))
     )
 
 
@@ -542,7 +537,7 @@ def adjunction_check(
                 _, symbol, children = tree
                 child_values = []
                 for child in children:
-                    child_term = Term(b.sig, e.rank - 1, child)
+                    child_term = Term.derived(b.sig, e.rank - 1, child)
                     j = next(
                         idx
                         for idx, c in enumerate(classes)

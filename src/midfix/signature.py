@@ -8,12 +8,18 @@ and any branch that bottoms out earlier must end in a 0-arity operation.
 Trees are nested tuples: ``("var", label)`` for a generator leaf and
 ``("op", symbol, (child, ...))`` for an operation node.  Tuples keep terms
 hashable and give a total, deterministic ordering for free.
+
+Walks over trees go through `fold`, which passes each node's depth to its
+callbacks and takes one Python frame per tree level; `subst`, the fold that
+replaces leaves by trees, does unfolding, relabelling and grafting.
+`Term(...)` validates the tree a caller hands it; terms the library derives
+from checked terms are built by `Term.derived` and not checked again.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Union
 
 Tree = tuple  # ("var", label) | ("op", symbol, (Tree, ...))
@@ -39,30 +45,62 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
+def fold(tree: Tree, leaf: Callable, op: Callable):
+    """Fold a tree bottom-up: `leaf(label, depth)` at each generator leaf and
+    `op(symbol, child_results, depth)` at each operation node, where the
+    root has depth 0 and `child_results` is a tuple in child order."""
+
+    def walk(node, depth):
+        tag = node[0]
+        if tag == "var":
+            return leaf(node[1], depth)
+        if tag != "op":
+            raise SignatureError(f"malformed tree node {node!r}")
+        _, symbol, children = node
+        below = depth + 1
+        results = []
+        for child in children:
+            results.append(walk(child, below))
+        return op(symbol, tuple(results), depth)
+
+    return walk(tree, 0)
+
+
+def _op_node(symbol, children, depth):
+    return ("op", symbol, children)
+
+
+def subst(tree: Tree, replace: Callable) -> Tree:
+    """The tree with each generator leaf x replaced by the tree replace(x)."""
+    return fold(tree, lambda label, depth: replace(label), _op_node)
+
+
 @dataclass(frozen=True)
 class Signature:
     """A finite list of (symbol, arity) pairs with distinct symbols."""
 
     ops: tuple[tuple[str, int], ...]
+    arities: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        arities = {}
         for name, arity in self.ops:
-            if name in seen:
+            if name in arities:
                 raise SignatureError(f"duplicate operation symbol {name!r}")
             if arity < 0:
                 raise SignatureError(f"negative arity for {name!r}")
-            seen.add(name)
+            arities[name] = arity
+        object.__setattr__(self, "arities", arities)
 
     @property
     def symbols(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.ops)
 
     def arity(self, symbol: str) -> int:
-        for name, ar in self.ops:
-            if name == symbol:
-                return ar
-        raise SignatureError(f"unknown operation symbol {symbol!r}")
+        try:
+            return self.arities[symbol]
+        except KeyError:
+            raise SignatureError(f"unknown operation symbol {symbol!r}") from None
 
     def sorted_ops(self) -> list[tuple[str, int]]:
         return sorted(self.ops)
@@ -83,77 +121,45 @@ class Term:
     def __post_init__(self):
         if self.rank < 0:
             raise SignatureError("rank must be >= 0")
-        _check_tree(self.sig, self.tree, 0, self.rank)
+        sig, rank = self.sig, self.rank
+
+        def leaf(label, depth):
+            if depth != rank:
+                raise SignatureError(
+                    f"generator leaf {label!r} at depth {depth}, expected {rank}"
+                )
+
+        def op(symbol, children, depth):
+            arity = sig.arity(symbol)
+            if len(children) != arity:
+                raise SignatureError(
+                    f"{symbol!r} has arity {arity}, got {len(children)} children"
+                )
+            if depth >= rank:
+                # depth == rank holds generator leaves only; constants stop earlier
+                raise SignatureError(f"operation node {symbol!r} too deep at {depth}")
+
+        fold(self.tree, leaf, op)
+
+    @classmethod
+    def derived(cls, sig: Signature, rank: int, tree: Tree) -> Term:
+        """A term the library built from checked terms: not validated again."""
+        term = object.__new__(cls)
+        term.__dict__.update(sig=sig, rank=rank, tree=tree)
+        return term
 
     def leaves(self) -> list:
         """Generator-leaf labels in left-to-right order."""
         out = []
-        _collect_leaves(self.tree, out)
+        fold(self.tree, lambda label, depth: out.append(label), lambda *_: None)
         return out
 
     def sort_key(self):
-        return _tree_key(self.tree)
-
-
-def _check_tree(sig: Signature, node: Tree, depth: int, rank: int) -> None:
-    if node[0] == "var":
-        if depth != rank:
-            raise SignatureError(
-                f"generator leaf {node[1]!r} at depth {depth}, expected {rank}"
-            )
-        return
-    if node[0] != "op":
-        raise SignatureError(f"malformed tree node {node!r}")
-    _, symbol, children = node
-    arity = sig.arity(symbol)
-    if len(children) != arity:
-        raise SignatureError(
-            f"{symbol!r} has arity {arity}, got {len(children)} children"
-        )
-    if depth >= rank:
-        # depth == rank holds generator leaves only; constants stop earlier
-        raise SignatureError(f"operation node {symbol!r} too deep at {depth}")
-    for child in children:
-        _check_tree(sig, child, depth + 1, rank)
-
-
-def _collect_leaves(node: Tree, out: list) -> None:
-    if node[0] == "var":
-        out.append(node[1])
-    else:
-        for child in node[2]:
-            _collect_leaves(child, out)
-
-
-def _tree_key(node: Tree):
-    if node[0] == "var":
-        return ("var", str(node[1]))
-    return ("op", node[1], tuple(_tree_key(c) for c in node[2]))
+        return subst(self.tree, lambda label: ("var", str(label)))
 
 
 def var_term(sig: Signature, label) -> Term:
     return Term(sig, 0, ("var", label))
-
-
-def op_term(sig: Signature, symbol: str, children: Iterable[Term]) -> Term:
-    """Build a rank-(n+1) term from rank-n children sharing a rank."""
-    kids = tuple(children)
-    if kids:
-        rank = kids[0].rank
-        if any(k.rank != rank for k in kids):
-            raise SignatureError("children must share a rank")
-        return Term(sig, rank + 1, ("op", symbol, tuple(k.tree for k in kids)))
-    # a constant is a term of every rank >= 1; default to rank 1
-    return Term(sig, 1, ("op", symbol, ()))
-
-
-def at_rank(t: Term, rank: int) -> Term:
-    """Re-annotate a leafless term at a higher rank (constants live at all ranks)."""
-    if t.leaves():
-        raise SignatureError("only leafless terms can be re-ranked freely")
-    if rank < t.rank:
-        raise SignatureError("cannot lower the rank")
-    return Term(t.sig, rank, t.tree)
 
 
 def f_enumerate(sig: Signature, generators: Iterable) -> list[Term]:
@@ -162,9 +168,8 @@ def f_enumerate(sig: Signature, generators: Iterable) -> list[Term]:
     out = []
     for symbol, arity in sig.sorted_ops():
         for combo in itertools.product(gens, repeat=arity):
-            out.append(
-                Term(sig, 1, ("op", symbol, tuple(("var", x) for x in combo)))
-            )
+            tree = ("op", symbol, tuple(("var", x) for x in combo))
+            out.append(Term.derived(sig, 1, tree))
     return out
 
 
@@ -192,7 +197,7 @@ def enumerate_rank(
             for combo in itertools.product(trees, repeat=arity):
                 nxt.append(("op", symbol, tuple(combo)))
         trees = nxt
-    return [Term(sig, rank, tree) for tree in trees]
+    return [Term.derived(sig, rank, tree) for tree in trees]
 
 
 def unfold_once(t: Term, assignment: Mapping) -> Term:
@@ -201,12 +206,8 @@ def unfold_once(t: Term, assignment: Mapping) -> Term:
     The result has rank t.rank + 1; leafless subtrees are untouched (their
     rank annotation still increments with the whole term).
     """
-    def go(node: Tree) -> Tree:
-        if node[0] == "var":
-            return assignment[node[1]].tree
-        return ("op", node[1], tuple(go(c) for c in node[2]))
-
-    return Term(t.sig, t.rank + 1, go(t.tree))
+    tree = subst(t.tree, lambda label: assignment[label].tree)
+    return Term.derived(t.sig, t.rank + 1, tree)
 
 
 def unfold(t: Term, assignment: Mapping, times: int) -> Term:
@@ -218,22 +219,16 @@ def unfold(t: Term, assignment: Mapping, times: int) -> Term:
 def map_leaves(t: Term, relabel: Union[Mapping, Callable]) -> Term:
     """Relabel generator leaves; tree shape and rank are preserved."""
     get = relabel.__getitem__ if isinstance(relabel, Mapping) else relabel
+    tree = subst(t.tree, lambda label: ("var", get(label)))
+    return Term.derived(t.sig, t.rank, tree)
 
-    def go(node: Tree) -> Tree:
-        if node[0] == "var":
-            return ("var", get(node[1]))
-        return ("op", node[1], tuple(go(c) for c in node[2]))
 
-    return Term(t.sig, t.rank, go(t.tree))
+def _render(symbol, children, depth) -> str:
+    return f"{symbol}({', '.join(children)})" if children else symbol
 
 
 def tree_to_str(node: Tree) -> str:
-    if node[0] == "var":
-        return str(node[1])
-    _, symbol, children = node
-    if not children:
-        return symbol
-    return f"{symbol}({', '.join(tree_to_str(c) for c in children)})"
+    return fold(node, lambda label, depth: str(label), _render)
 
 
 def term_to_str(t: Term) -> str:

@@ -174,7 +174,7 @@ def test_criterion_6_terminal_coalgebra_approximants():
         coalgs.append(random_coalgebra(rng, sig, 3))
     for b in coalgs:
         for x in b.carrier:
-            stream = infinite_trace(b, x, depth=8)
+            stream = infinite_trace(b, x)
             ok = ok and stream.check_compatible(8)
     report(
         "criterion 6: terminal-coalgebra approximants and trace streams",

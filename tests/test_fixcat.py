@@ -355,11 +355,11 @@ class TestTerminalApprox:
 
 class TestTraces:
     def test_diverging_trace(self, loop_coalgebra):
-        stream = infinite_trace(loop_coalgebra, "p", depth=5)
+        stream = infinite_trace(loop_coalgebra, "p")
         assert term_to_str(stream.component(4)) == "s(s(s(s(*))))"
 
     def test_terminating_trace(self, stopped_coalgebra):
-        stream = infinite_trace(stopped_coalgebra, "p", depth=5)
+        stream = infinite_trace(stopped_coalgebra, "p")
         assert term_to_str(stream.component(4)) == "z"
 
     def test_transpose_is_the_constant_map(self, loop_coalgebra, one_algebra, nat_sig):

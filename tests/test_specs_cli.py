@@ -132,6 +132,54 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "CapExceeded" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mu", str(SPECS / "loop_coalgebra.json"), "--max-rank", "-1"),
+            ("mu", str(SPECS / "loop_coalgebra.json"), "--cap", "-1"),
+            ("nu", str(SPECS / "parity_algebra.json"), "--depth", "-2"),
+            ("trace", str(SPECS / "loop_coalgebra.json"), "--depth", "-1"),
+            (
+                "adjunction",
+                str(SPECS / "stopped_coalgebra.json"),
+                str(SPECS / "parity_algebra.json"),
+                "--max-rank",
+                "-1",
+            ),
+            ("rel-coincidence", str(SPECS / "constant_coincidence.json"), "--bound", "-1"),
+            ("rel-dagger", "--size", "-1"),
+            ("rel-dagger", "--samples", "-5"),
+        ],
+    )
+    def test_negative_count_exits_two(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "must be >= 0" in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["lattice-galois", "mu", "nu", "trace", "rel-coincidence"])
+    def test_no_path_and_no_stdin_exits_two(self, command):
+        proc = run_cli(command)
+        assert proc.returncode == 2
+        assert "error: ParseError" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("depth,code", [(400, 0), (600, 2)])
+    def test_deep_trace_completes_or_exits_two(self, tmp_path, depth, code):
+        # two states that feed each other: every component is a unary chain
+        spec = {
+            "sig": {"ops": [{"name": "z", "arity": 0}, {"name": "s", "arity": 1}]},
+            "carrier": ["p", "q"],
+            "structure": {"p": {"op": "s", "args": ["q"]}, "q": {"op": "s", "args": ["p"]}},
+        }
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("trace", str(path), "--element", "p", "--depth", str(depth))
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            assert len(json.loads(proc.stdout)["traces"]["p"]) == depth + 1
+        else:
+            assert "error: RecursionError" in proc.stderr
+
     def test_check_failure_exits_one(self, tmp_path):
         # a non-functorial table makes the coincidence law checks fail
         spec = {
