@@ -1,6 +1,6 @@
 """Golden CLI reports: stdout and exit code must stay byte-identical.
 
-Each case is a README command (plus two more) run through `cli.main` from
+Each case is a README command (plus five more) run through `cli.main` from
 the repository root in every output format.  The expected stdout of case
 NAME in format FMT is `golden/NAME.FMT`; the exit codes are in
 `golden/exit_codes.json`.  Unlike the determinism checks, which compare two
@@ -45,6 +45,9 @@ CASES = {
         "sample_specs/parity_algebra.json",
     ],
     "trace-stopped": ["trace", "sample_specs/stopped_coalgebra.json", "--depth", "7"],
+    "lattice-fixpoints-cube": ["lattice-fixpoints", "sample_specs/cube_lattice.json"],
+    "lattice-galois-cube": ["lattice-galois", "sample_specs/cube_lattice.json"],
+    "mu-tree": ["mu", "sample_specs/tree_coalgebra.json", "--max-rank", "2"],
 }
 
 
