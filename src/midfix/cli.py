@@ -69,6 +69,7 @@ def cmd_lattice_fixpoints(args) -> tuple[dict, str]:
     report = lat.classify_points(f)
     mu_table = {x: lat.mu_lattice(f, x) for x in report.pre_fixed}
     nu_table = {y: lat.nu_lattice(f, y) for y in report.post_fixed}
+    fixed_ok = [x for x in lattice.elements if f(x) == x] == list(report.fixed)
     out = {
         "command": "lattice-fixpoints",
         "pre_fixed": list(report.pre_fixed),
@@ -76,8 +77,8 @@ def cmd_lattice_fixpoints(args) -> tuple[dict, str]:
         "fixed": list(report.fixed),
         "mu": mu_table,
         "nu": nu_table,
-        "checks": [{"name": "fixed-is-intersection", "passed": True}],
-        "passed": True,
+        "checks": [{"name": "fixed-is-intersection", "passed": fixed_ok}],
+        "passed": fixed_ok,
     }
     return out, emit_lattice_dot(lattice)
 

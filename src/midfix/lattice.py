@@ -69,81 +69,101 @@ class NoConvergence(LatticeError):
         self.iterations = iterations
 
 
+def _positions(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class FinLattice:
-    """A finite complete lattice: elements plus a validated order relation."""
+    """A finite complete lattice: elements plus a validated order relation.
+
+    Element i also carries two bitmasks over element positions: up[i] holds
+    the elements above it, down[i] those below it (both include i).  Joins
+    and meets are intersections of these masks (Ait-Kaci et al., Efficient
+    Implementation of Lattice Operations, TOPLAS 1989).
+    """
 
     elements: tuple
     leq: frozenset  # pairs (x, y) with x <= y, reflexive pairs included
+    up: tuple = field(compare=False, repr=False)
+    down: tuple = field(compare=False, repr=False)
+    position: dict = field(compare=False, repr=False)  # element -> its bit position
 
     def le(self, x, y) -> bool:
         return (x, y) in self.leq
 
-    def upper_bounds(self, x, y) -> list:
-        return [z for z in self.elements if self.le(x, z) and self.le(y, z)]
-
-    def lower_bounds(self, x, y) -> list:
-        return [z for z in self.elements if self.le(z, x) and self.le(z, y)]
-
     def join(self, x, y):
-        ubs = self.upper_bounds(x, y)
-        least = [z for z in ubs if all(self.le(z, w) for w in ubs)]
-        return least[0]
+        bounds = self.up[self.position[x]] & self.up[self.position[y]]
+        return self.elements[self.up.index(bounds)]
 
     def meet(self, x, y):
-        lbs = self.lower_bounds(x, y)
-        greatest = [z for z in lbs if all(self.le(w, z) for w in lbs)]
-        return greatest[0]
+        bounds = self.down[self.position[x]] & self.down[self.position[y]]
+        return self.elements[self.down.index(bounds)]
 
     @property
     def bottom(self):
-        return next(x for x in self.elements if all(self.le(x, y) for y in self.elements))
+        return self.elements[self.up.index((1 << len(self.elements)) - 1)]
 
     @property
     def top(self):
-        return next(y for y in self.elements if all(self.le(x, y) for x in self.elements))
+        return self.elements[self.down.index((1 << len(self.elements)) - 1)]
 
     def covers(self) -> list[tuple]:
         """Covering pairs (x, y): x < y with nothing strictly between."""
         out = []
-        for x in self.elements:
-            for y in self.elements:
-                if x == y or not self.le(x, y):
-                    continue
-                if any(
-                    z != x and z != y and self.le(x, z) and self.le(z, y)
-                    for z in self.elements
-                ):
-                    continue
-                out.append((x, y))
+        for i, x in enumerate(self.elements):
+            for j in _positions(self.up[i] & ~(1 << i)):
+                if self.up[i] & self.down[j] == 1 << i | 1 << j:
+                    out.append((x, self.elements[j]))
         return out
 
 
 def check_lattice(elements: Iterable, leq_pairs: Iterable[tuple]) -> FinLattice:
-    """Validate the poset laws and existence of all binary joins and meets."""
+    """Validate the poset laws and existence of all binary joins and meets.
+
+    Laws are checked in element order, so the witness of a violation does
+    not depend on set iteration order.
+    """
     elems = tuple(elements)
     if not elems:
         raise LatticeError("lattice needs at least one element")
-    rel = frozenset((x, y) for x, y in leq_pairs)
-    for x in elems:
-        if (x, x) not in rel:
+    position = {}
+    for i, x in enumerate(elems):
+        if x in position:
+            raise LatticeError(f"duplicate element {x!r}")
+        position[x] = i
+    n = len(elems)
+    up, down = [0] * n, [0] * n
+    pairs = []
+    for x, y in leq_pairs:
+        if x not in position or y not in position:
+            raise LatticeError(f"order pair {(x, y)!r} names a non-element")
+        up[position[x]] |= 1 << position[y]
+        down[position[y]] |= 1 << position[x]
+        pairs.append((x, y))
+    for i, x in enumerate(elems):
+        if not up[i] >> i & 1:
             raise NotAPartialOrder("reflexivity", (x, x))
-    for x, y in rel:
-        if x != y and (y, x) in rel:
-            raise NotAPartialOrder("antisymmetry", (x, y))
-    for x, y in rel:
-        for y2, z in rel:
-            if y == y2 and (x, z) not in rel:
-                raise NotAPartialOrder("transitivity", (x, z))
-    lat = FinLattice(elems, rel)
-    for x, y in itertools.combinations_with_replacement(elems, 2):
-        ubs = lat.upper_bounds(x, y)
-        if len([z for z in ubs if all(lat.le(z, w) for w in ubs)]) != 1:
-            raise MissingJoinOrMeet("join", (x, y))
-        lbs = lat.lower_bounds(x, y)
-        if len([z for z in lbs if all(lat.le(w, z) for w in lbs)]) != 1:
-            raise MissingJoinOrMeet("meet", (x, y))
-    return lat
+    for i, x in enumerate(elems):
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            raise NotAPartialOrder("antisymmetry", (x, elems[next(_positions(both))]))
+    for i, x in enumerate(elems):
+        for j in _positions(up[i]):
+            beyond = up[j] & ~up[i]
+            if beyond:
+                raise NotAPartialOrder("transitivity", (x, elems[next(_positions(beyond))]))
+    ups, downs = set(up), set(down)
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        if up[i] & up[j] not in ups:
+            raise MissingJoinOrMeet("join", (elems[i], elems[j]))
+        if down[i] & down[j] not in downs:
+            raise MissingJoinOrMeet("meet", (elems[i], elems[j]))
+    return FinLattice(elems, frozenset(pairs), tuple(up), tuple(down), position)
 
 
 @dataclass(frozen=True)
@@ -152,12 +172,16 @@ class MonotoneMap:
 
     lattice: FinLattice
     mapping: tuple  # pairs (x, f(x)), sorted for canonical equality
+    table: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", dict(self.mapping))
 
     def __call__(self, x):
-        return dict(self.mapping)[x]
+        return self.table[x]
 
     def as_dict(self) -> dict:
-        return dict(self.mapping)
+        return dict(self.table)
 
 
 def check_monotone(mapping: Mapping, lattice: FinLattice) -> MonotoneMap:
@@ -165,12 +189,14 @@ def check_monotone(mapping: Mapping, lattice: FinLattice) -> MonotoneMap:
     for x in lattice.elements:
         if x not in table:
             raise LatticeError(f"map not total: missing {x!r}")
-        if table[x] not in lattice.elements:
+        if table[x] not in lattice.position:
             raise LatticeError(f"map leaves the lattice at {x!r}")
-    for x in lattice.elements:
-        for y in lattice.elements:
-            if lattice.le(x, y) and not lattice.le(table[x], table[y]):
-                raise NotMonotone((x, y))
+    image = [lattice.position[table[x]] for x in lattice.elements]
+    for i, x in enumerate(lattice.elements):
+        allowed = lattice.up[image[i]]
+        for j in _positions(lattice.up[i]):
+            if not allowed >> image[j] & 1:
+                raise NotMonotone((x, lattice.elements[j]))
     return MonotoneMap(lattice, tuple(sorted(table.items(), key=lambda p: str(p))))
 
 

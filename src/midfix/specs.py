@@ -27,6 +27,31 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _scalars(value, where: str) -> list:
+    """A JSON array of strings, numbers, booleans or nulls (hashable values)."""
+    if not isinstance(value, list):
+        raise ParseError(where, f"expected a list, got {value!r}")
+    for item in value:
+        if not isinstance(item, _SCALARS):
+            raise ParseError(where, f"{item!r} is not a string, number, boolean or null")
+    return value
+
+
+def _pairs(value, where: str) -> list[tuple]:
+    """A JSON array of two-element arrays [x, y] of scalars."""
+    if not isinstance(value, list):
+        raise ParseError(where, f"expected a list of pairs, got {value!r}")
+    out = []
+    for i, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"{where}[{i}]", f"expected a pair [x, y], got {pair!r}")
+        out.append(tuple(_scalars(pair, f"{where}[{i}]")))
+    return out
+
+
 def load_json(text: str) -> dict:
     try:
         return json.loads(text)
@@ -38,12 +63,16 @@ def load_json(text: str) -> dict:
 
 
 def parse_lattice(obj: dict) -> tuple[lat.FinLattice, Optional[lat.MonotoneMap]]:
-    elements = _require(obj, "elements", "lattice")
-    leq = [tuple(pair) for pair in _require(obj, "leq", "lattice")]
+    elements = _scalars(_require(obj, "elements", "lattice"), "lattice.elements")
+    leq = _pairs(_require(obj, "leq", "lattice"), "lattice.leq")
     lattice = lat.check_lattice(elements, leq)
     if "map" not in obj:
         return lattice, None
-    return lattice, lat.check_monotone(obj["map"], lattice)
+    mapping = obj["map"]
+    if not isinstance(mapping, dict):
+        raise ParseError("lattice.map", f"expected an object, got {mapping!r}")
+    _scalars(list(mapping.values()), "lattice.map")
+    return lattice, lat.check_monotone(mapping, lattice)
 
 
 def lattice_to_json(lattice: lat.FinLattice, f: Optional[lat.MonotoneMap] = None) -> dict:
@@ -77,7 +106,7 @@ def signature_to_json(sig: Signature) -> dict:
 
 def _parse_flat_term(sig: Signature, obj: dict, where: str) -> Term:
     symbol = _require(obj, "op", where)
-    args = _require(obj, "args", where)
+    args = _scalars(_require(obj, "args", where), f"{where}.args")
     if symbol not in sig.symbols:
         raise ParseError(where, f"unknown operation symbol {symbol!r}")
     if len(args) != sig.arity(symbol):
@@ -87,7 +116,7 @@ def _parse_flat_term(sig: Signature, obj: dict, where: str) -> Term:
 
 def parse_coalgebra(obj: dict) -> fixcat.Coalgebra:
     sig = parse_signature(_require(obj, "sig", "coalgebra"))
-    carrier = _require(obj, "carrier", "coalgebra")
+    carrier = _scalars(_require(obj, "carrier", "coalgebra"), "coalgebra.carrier")
     structure_obj = _require(obj, "structure", "coalgebra")
     structure = {}
     for x, entry in structure_obj.items():
@@ -117,7 +146,7 @@ def coalgebra_to_json(b: fixcat.Coalgebra) -> dict:
 
 def parse_algebra(obj: dict) -> fixcat.Algebra:
     sig = parse_signature(_require(obj, "sig", "algebra"))
-    carrier = _require(obj, "carrier", "algebra")
+    carrier = _scalars(_require(obj, "carrier", "algebra"), "algebra.carrier")
     structure = {}
     for i, entry in enumerate(_require(obj, "structure", "algebra")):
         where = f"algebra.structure[{i}]"
@@ -150,23 +179,17 @@ def algebra_to_json(a: fixcat.Algebra) -> dict:
 
 
 def parse_relation(obj: dict) -> dagger.FinRel:
-    source = _require(obj, "source", "relation")
-    target = _require(obj, "target", "relation")
-    pairs = [tuple(p) for p in _require(obj, "pairs", "relation")]
-    for x, y in pairs:
-        if x not in source:
-            raise ParseError("relation.pairs", f"{x!r} not in source")
-        if y not in target:
-            raise ParseError("relation.pairs", f"{y!r} not in target")
+    source = _scalars(_require(obj, "source", "relation"), "relation.source")
+    target = _scalars(_require(obj, "target", "relation"), "relation.target")
+    pairs = _pairs(_require(obj, "pairs", "relation"), "relation.pairs")
     return dagger.finrel(source, target, pairs)
 
 
-def relation_to_json(r: dagger.FinRel) -> dict:
-    return {
-        "source": list(r.source),
-        "target": list(r.target),
-        "pairs": [list(p) for p in r.pairs],
-    }
+relation_to_json = dagger.relation_to_json
+
+
+def _constant(obj: dict) -> list:
+    return _scalars(_require(obj, "constant", "functor"), "functor.constant")
 
 
 def parse_functor(obj: dict) -> dagger.RelEndo:
@@ -174,15 +197,16 @@ def parse_functor(obj: dict) -> dagger.RelEndo:
     if kind == "identity":
         return dagger.identity_endofunctor()
     if kind == "constant":
-        return dagger.constant_endofunctor(_require(obj, "constant", "functor"))
+        return dagger.constant_endofunctor(_constant(obj))
     if kind == "pad":
-        return dagger.pad_endofunctor(_require(obj, "constant", "functor"))
+        return dagger.pad_endofunctor(_constant(obj))
     if kind == "table":
         object_table = {}
         for i, entry in enumerate(_require(obj, "objects", "functor")):
             where = f"functor.objects[{i}]"
-            source = dagger._sorted_obj(_require(entry, "object", where))
-            object_table[source] = dagger._sorted_obj(_require(entry, "image", where))
+            source = _scalars(_require(entry, "object", where), f"{where}.object")
+            image = _scalars(_require(entry, "image", where), f"{where}.image")
+            object_table[dagger._sorted_obj(source)] = dagger._sorted_obj(image)
         rel_table = {}
         for i, entry in enumerate(_require(obj, "relations", "functor")):
             where = f"functor.relations[{i}]"

@@ -1,9 +1,12 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from midfix import dagger
 from midfix.dagger import (
+    FinRel,
     ObjectMismatch,
     RelError,
     all_relations,
@@ -41,7 +44,7 @@ class TestCompose:
     def test_empty_annihilates(self):
         r = finrel(["1"], ["a"], [])
         s = finrel(["a"], ["p"], [("a", "p")])
-        assert rel_compose(r, s).pairs == ()
+        assert rel_compose(r, s).pairs == frozenset()
 
     def test_object_mismatch(self):
         r = finrel(["1"], ["a"], [])
@@ -91,6 +94,20 @@ class TestDaggerLaws:
     def test_empty_relation(self):
         report = dagger_laws_check([("x",)], [finrel(["x"], ["x"], [])])
         assert report["passed"]
+
+    def test_failed_law_witness_is_written_sorted(self, monkeypatch):
+        # a converse that forgets every pair breaks involution
+        monkeypatch.setattr(
+            dagger, "rel_dagger", lambda r: FinRel(r.target, r.source, frozenset())
+        )
+        r = finrel(["2", "1"], ["b", "a"], [("2", "b"), ("1", "b"), ("1", "a")])
+        report = dagger_laws_check([], [r])
+        assert not report["passed"]
+        assert report["checks"][0]["witness"] == [
+            {"source": ["1", "2"], "target": ["a", "b"],
+             "pairs": [["1", "a"], ["1", "b"], ["2", "b"]]}
+        ]
+        assert "frozenset" not in json.dumps(report, default=repr)
 
     def test_random_large_sample(self):
         rng = random.Random(3)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,97 @@ class TestExitCodes:
         else:
             assert "error: RecursionError" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command,spec,error",
+        [
+            # an order pair naming a non-element
+            (
+                "lattice-galois",
+                {"elements": ["a"], "leq": [["a", "a"], ["a", "z"]], "map": {"a": "a"}},
+                "LatticeError",
+            ),
+            # list-valued elements
+            (
+                "lattice-galois",
+                {"elements": [["a"]], "leq": [[["a"], ["a"]]], "map": {}},
+                "ParseError",
+            ),
+            (
+                "rel-coincidence",
+                {
+                    "functor": {"kind": "identity"},
+                    "coalgebra": {"source": [["x"]], "target": [["x"]], "pairs": []},
+                },
+                "ParseError",
+            ),
+            (
+                "rel-coincidence",
+                {
+                    "functor": {"kind": "constant", "constant": [["k"]]},
+                    "coalgebra": {"source": ["x"], "target": ["k"], "pairs": []},
+                },
+                "ParseError",
+            ),
+            # pairs and argument lists given as strings
+            (
+                "lattice-galois",
+                {"elements": ["a", "b"], "leq": [["a", "a"], ["b", "b"], "ab"], "map": {}},
+                "ParseError",
+            ),
+            (
+                "rel-coincidence",
+                {
+                    "functor": {"kind": "identity"},
+                    "coalgebra": {"source": ["a"], "target": ["b"], "pairs": ["ab"]},
+                },
+                "ParseError",
+            ),
+            (
+                "mu",
+                {
+                    "sig": {"ops": [{"name": "n", "arity": 2}]},
+                    "carrier": ["p", "q"],
+                    "structure": {
+                        "p": {"op": "n", "args": "pq"},
+                        "q": {"op": "n", "args": ["p", "q"]},
+                    },
+                },
+                "ParseError",
+            ),
+            (
+                "nu",
+                {
+                    "sig": {"ops": [{"name": "n", "arity": 2}]},
+                    "carrier": ["p", "q"],
+                    "structure": [{"op": "n", "args": "pq", "value": "p"}],
+                },
+                "ParseError",
+            ),
+        ],
+    )
+    def test_malformed_spec_exits_two(self, tmp_path, command, spec, error):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 2
+        assert f"error: {error}" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    def test_fixed_is_intersection_is_computed(self, monkeypatch, capsys):
+        # a classification that drops a fixpoint must fail the check
+        real = cli.lat.classify_points
+
+        def drop_last_fixed(f):
+            report = real(f)
+            report.fixed = report.fixed[:-1]
+            return report
+
+        monkeypatch.setattr(cli.lat, "classify_points", drop_last_fixed)
+        code = cli.main(["lattice-fixpoints", str(SPECS / "chain_lattice.json")])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1 and report["passed"] is False
+        assert report["checks"] == [{"name": "fixed-is-intersection", "passed": False}]
+
     def test_check_failure_exits_one(self, tmp_path):
         # a non-functorial table makes the coincidence law checks fail
         spec = {
@@ -242,6 +334,44 @@ class TestDeterminism:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.strip().startswith("{")
+
+
+    @pytest.mark.parametrize(
+        "leq,law",
+        [
+            # a <= b <= c and a <= x <= y, with (a, c) and (a, y) missing
+            (
+                [["a", "b"], ["b", "c"], ["a", "x"], ["x", "y"]],
+                "transitivity fails at ('a', 'c')",
+            ),
+            # two pairs of mutually related elements
+            (
+                [["a", "b"], ["b", "a"], ["x", "y"], ["y", "x"]],
+                "antisymmetry fails at ('a', 'b')",
+            ),
+        ],
+    )
+    def test_violation_witness_ignores_hash_seed(self, tmp_path, leq, law):
+        elements = ["a", "b", "c", "x", "y"]
+        spec = {
+            "elements": elements,
+            "leq": [[e, e] for e in elements] + leq,
+            "map": {e: e for e in elements},
+        }
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(spec))
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "midfix.cli", "lattice-galois", str(path)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            for seed in ("0", "1")
+        ]
+        assert [r.returncode for r in runs] == [2, 2]
+        assert runs[0].stderr == runs[1].stderr
+        assert law in runs[0].stderr
 
 
 class TestDot:
