@@ -22,6 +22,8 @@ class ParseError(ValueError):
 
 
 def _require(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ParseError(where, f"expected an object, got {obj!r}")
     if key not in obj:
         raise ParseError(where, f"missing key {key!r}")
     return obj[key]

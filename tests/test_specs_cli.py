@@ -247,6 +247,17 @@ class TestExitCodes:
                 },
                 "ParseError",
             ),
+            # a spec or an entry that is not a JSON object
+            ("lattice-galois", 5, "ParseError"),
+            (
+                "mu",
+                {
+                    "sig": {"ops": [{"name": "z", "arity": 0}]},
+                    "carrier": ["p"],
+                    "structure": {"p": 5},
+                },
+                "ParseError",
+            ),
         ],
     )
     def test_malformed_spec_exits_two(self, tmp_path, command, spec, error):
