@@ -9,6 +9,7 @@ keys so identical runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -223,7 +224,9 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="midfix",
         description="Middle fixpoints on lattices, the coalgebra-algebra "

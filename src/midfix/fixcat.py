@@ -25,9 +25,11 @@ from .signature import (
     DEFAULT_TERM_CAP,
     Signature,
     Term,
+    Tree,
     count_rank,
     enumerate_rank,
     f_enumerate,
+    f_terms,
     fold,
     map_leaves,
     subst,
@@ -99,9 +101,12 @@ class Algebra:
             if t.rank != 1 or t.sig != self.sig:
                 raise FixcatError(f"structure entry {term_to_str(t)} is not a rank-1 term")
             table[_flat(t)] = value
-        for t in f_enumerate(self.sig, self.carrier):
-            if _flat(t) not in table:
-                raise FixcatError(f"structure not total: missing {term_to_str(t)}")
+        # total iff every element of F(A) is a key: count the keys over A,
+        # and only search F(A) (lazily, it may be huge) when one is missing
+        inside = sum(all(x in self.carrier for x in leaves) for _, leaves in table)
+        if inside < count_rank(self.sig, len(set(self.carrier)), 1):
+            missing = next(t for t in f_terms(self.sig, self.carrier) if _flat(t) not in table)
+            raise FixcatError(f"structure not total: missing {term_to_str(missing)}")
         for t, value in self.structure:
             if value not in self.carrier:
                 raise FixcatError(f"value {value!r} outside the carrier")
@@ -182,25 +187,41 @@ def enumerate_coalg_to_alg(
 
 @dataclass(frozen=True)
 class ColimEq:
-    """Least generator identification: x ~ y once their unfoldings agree."""
+    """Least generator identification: x ~ y once their unfoldings agree.
+
+    Points of mu(b) get a canonical form from it: `key(t, rank)` relabels
+    each leaf of t to the first member of its class in carrier order and
+    unfolds the result up to `rank`.  Two terms are colimit-equal iff their
+    keys at any common rank >= both ranks are equal.
+    """
 
     coalgebra: Coalgebra
     rel: frozenset  # symmetric reflexive transitive pairs on the carrier
+    _leaf: dict = field(init=False, repr=False, compare=False)  # x -> ("var", first of class)
+    _rules: dict = field(init=False, repr=False, compare=False)  # x -> relabelled b(x)
+
+    def __post_init__(self):
+        carrier = self.coalgebra.carrier
+        leaf = {x: ("var", next(y for y in carrier if (x, y) in self.rel)) for x in carrier}
+        # members of one class unfold to the same relabelled tree, so
+        # unfolding a key through any member is well defined
+        rules = {x: subst(self.coalgebra.rule(x).tree, leaf.__getitem__) for x in carrier}
+        object.__setattr__(self, "_leaf", leaf)
+        object.__setattr__(self, "_rules", rules)
 
     def same(self, x, y) -> bool:
         return (x, y) in self.rel
 
+    def key(self, t: Term, rank: int) -> Tree:
+        """The canonical form of t at rank (>= t.rank)."""
+        tree = subst(t.tree, self._leaf.__getitem__)
+        for _ in range(rank - t.rank):
+            tree = self.unfold_key(tree)
+        return tree
 
-def _match_trees(t1, t2, related: Callable) -> bool:
-    """Same shape and related leaves; stops at the first mismatch."""
-    if t1[0] == "var" and t2[0] == "var":
-        return related(t1[1], t2[1])
-    if t1[0] == "op" and t2[0] == "op" and t1[1] == t2[1]:
-        for c1, c2 in zip(t1[2], t2[2]):
-            if not _match_trees(c1, c2, related):
-                return False
-        return True
-    return False
+    def unfold_key(self, tree: Tree) -> Tree:
+        """The key one rank up: one unfolding step through the relabelled b."""
+        return subst(tree, self._rules.__getitem__)
 
 
 def colim_eq(b: Coalgebra) -> ColimEq:
@@ -230,44 +251,28 @@ def colim_eq(b: Coalgebra) -> ColimEq:
 
 @dataclass(frozen=True)
 class MuElement:
-    """A point of mu(b): a rank together with a representative term over B."""
+    """A point of mu(b): a representative term over B, of some rank."""
 
     coalgebra: Coalgebra
-    rank: int
     representative: Term
 
-    def __post_init__(self):
-        if self.representative.rank != self.rank:
-            raise FixcatError("rank annotation disagrees with the representative")
+    @property
+    def rank(self) -> int:
+        return self.representative.rank
 
 
 def mu_element(b: Coalgebra, term: Term) -> MuElement:
-    return MuElement(b, term.rank, term)
-
-
-def _mu_eq_terms(b: Coalgebra, t1: Term, t2: Term, eq: ColimEq) -> bool:
-    rules = b.rules()
-    if t1.rank < t2.rank:
-        t1 = unfold(t1, rules, t2.rank - t1.rank)
-    elif t2.rank < t1.rank:
-        t2 = unfold(t2, rules, t1.rank - t2.rank)
-    return _match_trees(t1.tree, t2.tree, eq.same)
+    return MuElement(b, term)
 
 
 def mu_eq(e1: MuElement, e2: MuElement, eq: Optional[ColimEq] = None) -> bool:
-    """Colimit equality: unfold to a common rank, match shapes, relate leaves."""
+    """Colimit equality: equal canonical keys at the higher of the two ranks."""
     if e1.coalgebra != e2.coalgebra:
         raise FixcatError("mu elements live over different coalgebras")
     if eq is None:
         eq = colim_eq(e1.coalgebra)
-    return _mu_eq_terms(e1.coalgebra, e1.representative, e2.representative, eq)
-
-
-def _leaf_canon(b: Coalgebra, eq: ColimEq) -> dict:
-    """Pick the least member of each generator class as its canonical label."""
-    return {
-        x: min((y for y in b.carrier if eq.same(x, y)), key=str) for x in b.carrier
-    }
+    rank = max(e1.rank, e2.rank)
+    return eq.key(e1.representative, rank) == eq.key(e2.representative, rank)
 
 
 def mu_enumerate(
@@ -276,32 +281,26 @@ def mu_enumerate(
     """Minimal-rank canonical representatives of all colimit classes that have
     a representative of rank <= max_rank, in deterministic order.
 
-    Two same-rank terms are colimit-equal iff they agree after relabeling
-    leaves by their generator-class representative; classes found at lower
-    ranks are carried forward by unfolding their canonical key, so dedup is
-    a hash lookup rather than pairwise comparison.
+    Each new term is keyed by `ColimEq.key` at its own rank; the keys of the
+    classes found at lower ranks are carried forward one `unfold_key` per
+    rank, so dedup is a hash lookup rather than pairwise comparison.
     """
-    canon = _leaf_canon(b, colim_eq(b))
-    canon_leaf = {x: ("var", y) for x, y in canon.items()}.__getitem__
-    # unfolding a canonical key: each class representative unfolds to the
-    # same canonical tree, so substituting canon(b(leaf)) is well defined
-    canon_rules = {x: subst(b.rule(x).tree, canon_leaf) for x in b.carrier}
-
+    eq = colim_eq(b)
     classes: list[MuElement] = []
     frontier: dict = {}
     seen = 0
     for rank in range(max_rank + 1):
         if rank > 0:
-            frontier = {subst(k, canon_rules.__getitem__): i for k, i in frontier.items()}
+            frontier = {eq.unfold_key(k): i for k, i in frontier.items()}
         terms = enumerate_rank(b.sig, b.carrier, rank, cap)
         seen += len(terms)
         if seen > cap:
             raise CapExceeded(rank, seen, cap)
         for t in sorted(terms, key=lambda t: t.sort_key()):
-            key = subst(t.tree, canon_leaf)
+            key = eq.key(t, rank)
             if key not in frontier:
                 frontier[key] = len(classes)
-                classes.append(MuElement(b, rank, t))
+                classes.append(MuElement(b, t))
     return classes
 
 
@@ -318,7 +317,7 @@ def mu_algebra_apply(
     rank = max((e.rank for e in args), default=0)
     padded = [unfold(e.representative, rules, rank - e.rank) for e in args]
     tree = ("op", symbol, tuple(t.tree for t in padded))
-    return MuElement(b, rank + 1, Term.derived(b.sig, rank + 1, tree))
+    return MuElement(b, Term.derived(b.sig, rank + 1, tree))
 
 
 def induced_alg_hom(f: CoalgToAlgHom, e: MuElement):
@@ -473,7 +472,6 @@ def adjunction_check(
     classes = mu_enumerate(b, max_rank, cap)
     eq = colim_eq(b)
     checks = []
-    rules = b.rules()
 
     def record(name, passed, witness=None):
         entry = {"name": name, "passed": bool(passed)}
@@ -525,27 +523,28 @@ def adjunction_check(
     images = [tuple(h(x) for x in b.carrier) for h in homs]
     record("injectivity", len(set(images)) == len(images))
 
-    # (v) uniqueness: class values are forced by the generator restriction
+    # (v) uniqueness: class values are forced by the generator restriction;
+    # a class is a generator or a symbol over the classes of its children
+    class_of = {eq.key(c.representative, max_rank): i for i, c in enumerate(classes)}
+    shapes = []
+    for e in classes:
+        tree = e.representative.tree
+        if tree[0] == "op":
+            _, symbol, children = tree
+            below = (Term.derived(b.sig, e.rank - 1, child) for child in children)
+            tree = ("op", symbol, tuple(class_of[eq.key(t, max_rank)] for t in below))
+        shapes.append(tree)
     uniq_ok, uniq_witness = True, None
     for hom in homs:
-        forced: dict[int, object] = {}
-        for i, e in enumerate(classes):
-            tree = e.representative.tree
-            if tree[0] == "var":
-                forced[i] = hom(tree[1])
+        forced = []  # a child's class has a lower rank, so it comes first
+        for e, shape in zip(classes, shapes):
+            if shape[0] == "var":
+                value = hom(shape[1])
             else:
-                _, symbol, children = tree
-                child_values = []
-                for child in children:
-                    child_term = Term.derived(b.sig, e.rank - 1, child)
-                    j = next(
-                        idx
-                        for idx, c in enumerate(classes)
-                        if _mu_eq_terms(b, child_term, c.representative, eq)
-                    )
-                    child_values.append(forced[j])
-                forced[i] = a.apply(symbol, tuple(child_values))
-            if forced[i] != induced_alg_hom(hom, e):
+                _, symbol, below = shape
+                value = a.apply(symbol, tuple(forced[j] for j in below))
+            forced.append(value)
+            if value != induced_alg_hom(hom, e):
                 uniq_ok = False
                 uniq_witness = {
                     "hom": hom.as_dict(),
@@ -593,7 +592,7 @@ def naturality_check(
             induced_alg_hom(hom2, e)
             == hmap[
                 induced_alg_hom(
-                    hom, MuElement(b, e.rank, map_leaves(e.representative, gmap))
+                    hom, MuElement(b, map_leaves(e.representative, gmap))
                 )
             ]
             for e in classes2

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Tree = tuple  # ("var", label) | ("op", symbol, (Tree, ...))
 
@@ -162,15 +162,18 @@ def var_term(sig: Signature, label) -> Term:
     return Term(sig, 0, ("var", label))
 
 
-def f_enumerate(sig: Signature, generators: Iterable) -> list[Term]:
-    """All elements of F(X): sigma(x_1..x_m) for each operation and tuple over X."""
+def f_terms(sig: Signature, generators: Iterable) -> Iterator[Term]:
+    """The elements of F(X), lazily: sigma(x_1..x_m) for each operation and
+    tuple over X."""
     gens = sorted(generators, key=str)
-    out = []
     for symbol, arity in sig.sorted_ops():
         for combo in itertools.product(gens, repeat=arity):
-            tree = ("op", symbol, tuple(("var", x) for x in combo))
-            out.append(Term.derived(sig, 1, tree))
-    return out
+            yield Term.derived(sig, 1, ("op", symbol, tuple(("var", x) for x in combo)))
+
+
+def f_enumerate(sig: Signature, generators: Iterable) -> list[Term]:
+    """All elements of F(X), in `f_terms` order."""
+    return list(f_terms(sig, generators))
 
 
 def count_rank(sig: Signature, n_generators: int, rank: int) -> int:

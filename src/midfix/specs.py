@@ -15,16 +15,32 @@ from . import dagger, fixcat, lattice as lat
 from .signature import Signature, Term, signature
 
 
+# Arities are bounded at the input: with arity k, F(X) of a two-element X
+# already holds 2^k terms, and a huge k makes counting F(X) or building a
+# single term exhaust memory.
+MAX_ARITY = 64
+
+
 class ParseError(ValueError):
     def __init__(self, location: str, message: str):
         super().__init__(f"{location}: {message}")
         self.location = location
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(where, f"expected an object, got {value!r}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(where, f"expected a list, got {value!r}")
+    return value
+
+
 def _require(obj: dict, key: str, where: str):
-    if not isinstance(obj, dict):
-        raise ParseError(where, f"expected an object, got {obj!r}")
-    if key not in obj:
+    if key not in _object(obj, where):
         raise ParseError(where, f"missing key {key!r}")
     return obj[key]
 
@@ -34,9 +50,7 @@ _SCALARS = (str, int, float, bool, type(None))
 
 def _scalars(value, where: str) -> list:
     """A JSON array of strings, numbers, booleans or nulls (hashable values)."""
-    if not isinstance(value, list):
-        raise ParseError(where, f"expected a list, got {value!r}")
-    for item in value:
+    for item in _list(value, where):
         if not isinstance(item, _SCALARS):
             raise ParseError(where, f"{item!r} is not a string, number, boolean or null")
     return value
@@ -70,9 +84,7 @@ def parse_lattice(obj: dict) -> tuple[lat.FinLattice, Optional[lat.MonotoneMap]]
     lattice = lat.check_lattice(elements, leq)
     if "map" not in obj:
         return lattice, None
-    mapping = obj["map"]
-    if not isinstance(mapping, dict):
-        raise ParseError("lattice.map", f"expected an object, got {mapping!r}")
+    mapping = _object(obj["map"], "lattice.map")
     _scalars(list(mapping.values()), "lattice.map")
     return lattice, lat.check_monotone(mapping, lattice)
 
@@ -91,12 +103,14 @@ def lattice_to_json(lattice: lat.FinLattice, f: Optional[lat.MonotoneMap] = None
 
 
 def parse_signature(obj: dict) -> Signature:
-    ops = _require(obj, "ops", "signature")
+    ops = _list(_require(obj, "ops", "signature"), "signature.ops")
     pairs = []
     for i, op in enumerate(ops):
         name = _require(op, "name", f"signature.ops[{i}]")
         arity = _require(op, "arity", f"signature.ops[{i}]")
-        if not isinstance(arity, int) or arity < 0:
+        if not isinstance(name, str):
+            raise ParseError(f"signature.ops[{i}]", f"bad name {name!r}")
+        if not isinstance(arity, int) or isinstance(arity, bool) or not 0 <= arity <= MAX_ARITY:
             raise ParseError(f"signature.ops[{i}]", f"bad arity {arity!r}")
         pairs.append((name, arity))
     return signature(pairs)
@@ -119,7 +133,7 @@ def _parse_flat_term(sig: Signature, obj: dict, where: str) -> Term:
 def parse_coalgebra(obj: dict) -> fixcat.Coalgebra:
     sig = parse_signature(_require(obj, "sig", "coalgebra"))
     carrier = _scalars(_require(obj, "carrier", "coalgebra"), "coalgebra.carrier")
-    structure_obj = _require(obj, "structure", "coalgebra")
+    structure_obj = _object(_require(obj, "structure", "coalgebra"), "coalgebra.structure")
     structure = {}
     for x, entry in structure_obj.items():
         if x not in carrier:
@@ -150,7 +164,7 @@ def parse_algebra(obj: dict) -> fixcat.Algebra:
     sig = parse_signature(_require(obj, "sig", "algebra"))
     carrier = _scalars(_require(obj, "carrier", "algebra"), "algebra.carrier")
     structure = {}
-    for i, entry in enumerate(_require(obj, "structure", "algebra")):
+    for i, entry in enumerate(_list(_require(obj, "structure", "algebra"), "algebra.structure")):
         where = f"algebra.structure[{i}]"
         term = _parse_flat_term(sig, entry, where)
         for leaf in term.leaves():
@@ -204,13 +218,15 @@ def parse_functor(obj: dict) -> dagger.RelEndo:
         return dagger.pad_endofunctor(_constant(obj))
     if kind == "table":
         object_table = {}
-        for i, entry in enumerate(_require(obj, "objects", "functor")):
+        for i, entry in enumerate(_list(_require(obj, "objects", "functor"), "functor.objects")):
             where = f"functor.objects[{i}]"
             source = _scalars(_require(entry, "object", where), f"{where}.object")
             image = _scalars(_require(entry, "image", where), f"{where}.image")
             object_table[dagger._sorted_obj(source)] = dagger._sorted_obj(image)
         rel_table = {}
-        for i, entry in enumerate(_require(obj, "relations", "functor")):
+        for i, entry in enumerate(
+            _list(_require(obj, "relations", "functor"), "functor.relations")
+        ):
             where = f"functor.relations[{i}]"
             rel = parse_relation(entry)
             rel_table[rel] = parse_relation(_require(entry, "image", where))

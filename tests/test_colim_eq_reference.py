@@ -1,19 +1,34 @@
-"""`colim_eq` against the original pairwise-closure algorithm.
+"""`colim_eq`, `mu_eq` and `mu_enumerate` against the first implementations.
 
 `colim_eq` below is the first implementation, kept verbatim as a reference:
 it matches every pair of generators and re-closes the relation transitively
 after each round.  The library now merges classes keyed by root symbol and
 leaf classes; both must compute the same least relation.
+
+`_mu_eq_terms`, `_leaf_canon` and `mu_enumerate` are the first versions of
+mu(b) equality, also verbatim except that `mu_enumerate` collects (rank,
+term) pairs instead of `MuElement`s: unfold both terms to a common rank and
+match them leaf by leaf, or relabel leaves by the least member of their
+class.  The library now decides all of it through `ColimEq.key`.
 """
 
 import itertools
 from typing import Callable
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from midfix import fixcat
 from midfix.fixcat import Coalgebra, ColimEq, coalgebra
-from midfix.signature import Term, signature
+from midfix.signature import (
+    DEFAULT_TERM_CAP,
+    CapExceeded,
+    Term,
+    enumerate_rank,
+    map_leaves,
+    signature,
+    unfold,
+)
 
 
 def _match_trees(t1, t2, related: Callable) -> bool:
@@ -51,6 +66,69 @@ def colim_eq(b: Coalgebra) -> ColimEq:
     return ColimEq(b, frozenset(rel))
 
 
+def _mu_eq_terms(b: Coalgebra, t1: Term, t2: Term, eq: ColimEq) -> bool:
+    rules = b.rules()
+    if t1.rank < t2.rank:
+        t1 = unfold(t1, rules, t2.rank - t1.rank)
+    elif t2.rank < t1.rank:
+        t2 = unfold(t2, rules, t1.rank - t2.rank)
+    return _match_trees(t1.tree, t2.tree, eq.same)
+
+
+def _leaf_canon(b: Coalgebra, eq: ColimEq) -> dict:
+    """Pick the least member of each generator class as its canonical label."""
+    return {
+        x: min((y for y in b.carrier if eq.same(x, y)), key=str) for x in b.carrier
+    }
+
+
+def mu_enumerate(
+    b: Coalgebra, max_rank: int, cap: int = DEFAULT_TERM_CAP
+) -> list[tuple]:
+    """Minimal-rank canonical representatives of all colimit classes that have
+    a representative of rank <= max_rank, in deterministic order.
+
+    Two same-rank terms are colimit-equal iff they agree after relabeling
+    leaves by their generator-class representative; classes found at lower
+    ranks are carried forward by unfolding their canonical key, so dedup is
+    a hash lookup rather than pairwise comparison.
+    """
+    eq = colim_eq(b)
+    canon = _leaf_canon(b, eq)
+    rules = b.rules()
+
+    def canon_tree(tree):
+        if tree[0] == "var":
+            return ("var", canon[tree[1]])
+        return ("op", tree[1], tuple(canon_tree(c) for c in tree[2]))
+
+    # unfolding a canonical key: each class representative unfolds to the
+    # same canonical tree, so substituting canon(b(leaf)) is well defined
+    canon_rules = {x: canon_tree(rules[x].tree) for x in b.carrier}
+
+    def unfold_key(tree):
+        if tree[0] == "var":
+            return canon_rules[tree[1]]
+        return ("op", tree[1], tuple(unfold_key(c) for c in tree[2]))
+
+    classes: list[tuple] = []
+    frontier: dict = {}
+    seen = 0
+    for rank in range(max_rank + 1):
+        if rank > 0:
+            frontier = {unfold_key(key): idx for key, idx in frontier.items()}
+        terms = enumerate_rank(b.sig, b.carrier, rank, cap)
+        seen += len(terms)
+        if seen > cap:
+            raise CapExceeded(rank, seen, cap)
+        for t in sorted(terms, key=lambda t: t.sort_key()):
+            key = canon_tree(t.tree)
+            if key not in frontier:
+                frontier[key] = len(classes)
+                classes.append((rank, t))
+    return classes
+
+
 @st.composite
 def coalgebras(draw):
     """A random signature (1-3 operations of arity <= 3) and a coalgebra on
@@ -71,3 +149,66 @@ def coalgebras(draw):
 @given(coalgebras())
 def test_class_merging_matches_pairwise_closure(b):
     assert fixcat.colim_eq(b).rel == colim_eq(b).rel
+
+
+@st.composite
+def small_coalgebras(draw):
+    """A random signature (1-3 operations of arity <= 3) and a coalgebra on
+    1-5 generators."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    sig = signature([(f"op{i}", a) for i, a in enumerate(arities)])
+    carrier = [f"x{i}" for i in range(draw(st.integers(1, 5)))]
+    structure = {}
+    for x in carrier:
+        i = draw(st.integers(0, len(arities) - 1))
+        leaves = tuple(("var", draw(st.sampled_from(carrier))) for _ in range(arities[i]))
+        structure[x] = Term(sig, 1, ("op", f"op{i}", leaves))
+    return coalgebra(sig, carrier, structure)
+
+
+def _tree(draw, b: Coalgebra, rank: int, depth: int = 0):
+    """A random tree of F^rank(B): generators at depth rank, constants above."""
+    if depth == rank:
+        return ("var", draw(st.sampled_from(b.carrier)))
+    symbol, arity = draw(st.sampled_from(b.sig.sorted_ops()))
+    return ("op", symbol, tuple(_tree(draw, b, rank, depth + 1) for _ in range(arity)))
+
+
+@st.composite
+def term_pairs(draw):
+    """A coalgebra and two terms of different ranks <= 3.  The second is
+    either drawn freely or is the first unfolded and then relabelled by a
+    random map on the carrier, so that both verdicts come up often."""
+    b = draw(small_coalgebras())
+    r1 = draw(st.integers(0, 2))
+    r2 = draw(st.integers(r1 + 1, 3))
+    t1 = Term(b.sig, r1, _tree(draw, b, r1))
+    if draw(st.booleans()):
+        t2 = Term(b.sig, r2, _tree(draw, b, r2))
+    else:
+        relabel = {x: draw(st.sampled_from(b.carrier)) for x in b.carrier}
+        t2 = map_leaves(unfold(t1, b.rules(), r2 - r1), relabel)
+    if draw(st.booleans()):
+        t1, t2 = t2, t1
+    return b, t1, t2
+
+
+@settings(max_examples=400, deadline=None)
+@given(term_pairs())
+def test_mu_eq_matches_unfold_and_match(pair):
+    b, t1, t2 = pair
+    expected = _mu_eq_terms(b, t1, t2, colim_eq(b))
+    assert fixcat.mu_eq(fixcat.mu_element(b, t1), fixcat.mu_element(b, t2)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_coalgebras(), st.integers(0, 3))
+def test_mu_enumerate_matches_seed(b, max_rank):
+    try:
+        expected = mu_enumerate(b, max_rank, cap=2000)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            fixcat.mu_enumerate(b, max_rank, cap=2000)
+        return
+    classes = fixcat.mu_enumerate(b, max_rank, cap=2000)
+    assert [(e.rank, e.representative) for e in classes] == expected

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from midfix import cli, dagger, specs
 from midfix.lattice import NotMonotone
@@ -258,6 +262,57 @@ class TestExitCodes:
                 },
                 "ParseError",
             ),
+            # nested entries of the wrong JSON type
+            (
+                "mu",
+                {"sig": {"ops": [{"name": "z", "arity": 0}]}, "carrier": ["p"], "structure": [1]},
+                "ParseError",
+            ),
+            ("mu", {"sig": {"ops": 5}, "carrier": [], "structure": {}}, "ParseError"),
+            (
+                "mu",
+                {"sig": {"ops": [{"name": ["z"], "arity": 0}]}, "carrier": [], "structure": {}},
+                "ParseError",
+            ),
+            (
+                "nu",
+                {"sig": {"ops": [{"name": "z", "arity": 0}]}, "carrier": ["a"], "structure": 5},
+                "ParseError",
+            ),
+            (
+                "rel-coincidence",
+                {
+                    "functor": {"kind": "table", "objects": 5, "relations": []},
+                    "coalgebra": {"source": [], "target": [], "pairs": []},
+                },
+                "ParseError",
+            ),
+            # a boolean is not an arity
+            (
+                "mu",
+                {
+                    "sig": {"ops": [{"name": "s", "arity": True}]},
+                    "carrier": ["p"],
+                    "structure": {"p": {"op": "s", "args": ["p"]}},
+                },
+                "ParseError",
+            ),
+            # arities past the bound, and a wide operation missing from an
+            # algebra table, exit at once instead of enumerating F(A)
+            (
+                "mu",
+                {"sig": {"ops": [{"name": "w", "arity": 10**12}]}, "carrier": [], "structure": {}},
+                "ParseError",
+            ),
+            (
+                "nu",
+                {
+                    "sig": {"ops": [{"name": "z", "arity": 0}, {"name": "w", "arity": 40}]},
+                    "carrier": ["a", "b"],
+                    "structure": [{"op": "z", "args": [], "value": "a"}],
+                },
+                "FixcatError",
+            ),
         ],
     )
     def test_malformed_spec_exits_two(self, tmp_path, command, spec, error):
@@ -432,3 +487,114 @@ class TestReportShape:
             "lattice-galois", str(SPECS / "chain_lattice.json"), "--format", "text"
         )
         assert "[PASS] galois-biconditional" in proc.stdout
+
+
+class TestParserReuse:
+    def test_valid_call_after_rejected_call_prints_golden_report(self, capsys):
+        # the parser is built once per process; a call argparse rejects
+        # must not leave state behind for the next call
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["mu", "--max-rank", "-1"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert cli.main(["mu", str(SPECS / "loop_coalgebra.json"), "--max-rank", "4"]) == 0
+        golden = Path(__file__).resolve().parent / "golden" / "mu.json"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+        assert cli.build_parser() is cli.build_parser()
+
+
+# Every spec-reading command, with the spec path as "{}" and small bounds.
+LOOP, PARITY = str(SPECS / "loop_coalgebra.json"), str(SPECS / "parity_algebra.json")
+SMALL = ["--max-rank", "2", "--depth", "2", "--cap", "2000"]
+FUZZ_COMMANDS = {
+    "lattice": [["lattice-fixpoints", "{}"], ["lattice-galois", "{}"]],
+    "coalgebra": [
+        ["mu", "{}", "--max-rank", "2", "--cap", "2000"],
+        ["trace", "{}", "--depth", "3"],
+        ["adjunction", "{}", PARITY, *SMALL],
+    ],
+    "algebra": [["nu", "{}", "--depth", "2", "--cap", "2000"], ["adjunction", LOOP, "{}", *SMALL]],
+    "relation": [["rel-dagger", "{}", "--size", "1", "--samples", "2"]],
+    "coincidence": [["rel-coincidence", "{}", "--bound", "3"]],
+}
+SAMPLE_KINDS = {
+    "chain_lattice.json": "lattice",
+    "cube_lattice.json": "lattice",
+    "loop_coalgebra.json": "coalgebra",
+    "stopped_coalgebra.json": "coalgebra",
+    "tree_coalgebra.json": "coalgebra",
+    "parity_algebra.json": "algebra",
+    "relation.json": "relation",
+    "constant_coincidence.json": "coincidence",
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(value, prefix=()):
+    """The path of every node of a JSON value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_samples(draw):
+    """A sample spec with one node replaced by a random JSON value or removed."""
+    name = draw(st.sampled_from(sorted(SAMPLE_KINDS)))
+    spec = json.loads((SPECS / name).read_text())
+    path = draw(st.sampled_from(list(_paths(spec))))
+    value = draw(st.none() | json_values) if path else draw(json_values)
+    if path:
+        spec = copy.deepcopy(spec)
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = value
+        else:
+            del parent[path[-1]]
+    return SAMPLE_KINDS[name], spec
+
+
+@pytest.fixture(scope="module")
+def spec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+
+def _exit_code(argv) -> int:
+    """cli.main's exit code; output is swallowed, exceptions are not."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def _run_all(spec_path, spec, kinds):
+    spec_path.write_text(json.dumps(spec))
+    for kind in kinds:
+        for template in FUZZ_COMMANDS[kind]:
+            argv = [str(spec_path) if arg == "{}" else arg for arg in template]
+            assert _exit_code(argv) in (0, 1, 2), argv
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=json_values)
+    def test_random_json_exits_0_1_or_2(self, spec_path, spec):
+        _run_all(spec_path, spec, FUZZ_COMMANDS)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sample=mutated_samples())
+    def test_mutated_sample_specs_exit_0_1_or_2(self, spec_path, sample):
+        kind, spec = sample
+        _run_all(spec_path, spec, [kind])
