@@ -1,6 +1,6 @@
 """Golden CLI reports: stdout and exit code must stay byte-identical.
 
-Each case is a README command (plus five more) run through `cli.main` from
+Each case is a README command (plus eight more) run through `cli.main` from
 the repository root in every output format.  The expected stdout of case
 NAME in format FMT is `golden/NAME.FMT`; the exit codes are in
 `golden/exit_codes.json`.  Unlike the determinism checks, which compare two
@@ -48,6 +48,15 @@ CASES = {
     "lattice-fixpoints-cube": ["lattice-fixpoints", "sample_specs/cube_lattice.json"],
     "lattice-galois-cube": ["lattice-galois", "sample_specs/cube_lattice.json"],
     "mu-tree": ["mu", "sample_specs/tree_coalgebra.json", "--max-rank", "2"],
+    "trace-tree": ["trace", "sample_specs/tree_coalgebra.json", "--depth", "4"],
+    "nu-tree": ["nu", "sample_specs/tree_algebra.json", "--depth", "3"],
+    "adjunction-tree": [
+        "adjunction",
+        "sample_specs/tree_coalgebra.json",
+        "sample_specs/tree_algebra.json",
+        "--max-rank",
+        "2",
+    ],
 }
 
 
