@@ -13,13 +13,22 @@ import functools
 import json
 import random
 import sys
+from typing import Callable
 
 from . import dagger, fixcat, lattice as lat, specs
-from .signature import CapExceeded, SignatureError, count_rank, term_to_str
+from .signature import CapExceeded, SignatureError, Signature, term_to_str, tree_to_str
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+
+# a chain DOT label holds a stage size only while int-to-str can print it
+DOT_MAX_DIGITS = 4300
+_DOT_SIZE_LIMIT = 10**DOT_MAX_DIGITS
+
+
+class StageTooLarge(ValueError):
+    """A stage size of the chain DOT has too many digits to print."""
 
 
 def _read_spec(args) -> dict:
@@ -48,6 +57,18 @@ def emit_lattice_dot(lattice: lat.FinLattice) -> str:
     return "\n".join(lines) + "\n"
 
 
+def chain_sizes(sig: Signature, generators: int, stages: int) -> list[int]:
+    """|F^k(X)| for k <= stages, each from the one before:
+    c_0 = |X| and c_{k+1} = the sum over operations of c_k^arity."""
+    sizes = [generators]
+    while len(sizes) <= stages:
+        size = sum(sizes[-1] ** arity for _, arity in sig.ops)
+        if size >= _DOT_SIZE_LIMIT:
+            raise StageTooLarge(f"|F^{len(sizes)}| has more than {DOT_MAX_DIGITS} digits")
+        sizes.append(size)
+    return sizes
+
+
 def emit_chain_dot(stage_sizes: list[int], connector_base: str) -> str:
     """A chain diagram: nodes are stages with cardinalities, edges b, Fb, F^2b..."""
     lines = ["digraph chain {", "  rankdir=LR;"]
@@ -61,9 +82,12 @@ def emit_chain_dot(stage_sizes: list[int], connector_base: str) -> str:
 
 
 # -- commands ------------------------------------------------------------------
+#
+# A command returns its report and a function that renders its DOT, called
+# only for --format dot.
 
 
-def cmd_lattice_fixpoints(args) -> tuple[dict, str]:
+def cmd_lattice_fixpoints(args) -> tuple[dict, Callable[[], str]]:
     lattice, f = specs.parse_lattice(_read_spec(args))
     if f is None:
         raise specs.ParseError("lattice", "this command needs a 'map' entry")
@@ -81,10 +105,10 @@ def cmd_lattice_fixpoints(args) -> tuple[dict, str]:
         "checks": [{"name": "fixed-is-intersection", "passed": fixed_ok}],
         "passed": fixed_ok,
     }
-    return out, emit_lattice_dot(lattice)
+    return out, lambda: emit_lattice_dot(lattice)
 
 
-def cmd_lattice_galois(args) -> tuple[dict, str]:
+def cmd_lattice_galois(args) -> tuple[dict, Callable[[], str]]:
     lattice, f = specs.parse_lattice(_read_spec(args))
     if f is None:
         raise specs.ParseError("lattice", "this command needs a 'map' entry")
@@ -103,10 +127,10 @@ def cmd_lattice_galois(args) -> tuple[dict, str]:
         ],
         "passed": report.galois_ok,
     }
-    return out, emit_lattice_dot(lattice)
+    return out, lambda: emit_lattice_dot(lattice)
 
 
-def cmd_mu(args) -> tuple[dict, str]:
+def cmd_mu(args) -> tuple[dict, Callable[[], str]]:
     b = specs.parse_coalgebra(_read_spec(args))
     classes = fixcat.mu_enumerate(b, args.max_rank, args.cap)
     out = {
@@ -120,18 +144,16 @@ def cmd_mu(args) -> tuple[dict, str]:
         "checks": [{"name": "enumeration-within-cap", "passed": True}],
         "passed": True,
     }
-    sizes = [count_rank(b.sig, len(b.carrier), k) for k in range(args.max_rank + 1)]
-    return out, emit_chain_dot(sizes, "b")
+    return out, lambda: emit_chain_dot(chain_sizes(b.sig, len(b.carrier), args.max_rank), "b")
 
 
-def cmd_nu(args) -> tuple[dict, str]:
+def cmd_nu(args) -> tuple[dict, Callable[[], str]]:
     a = specs.parse_algebra(_read_spec(args))
     approx = fixcat.nu_approx(a, args.depth, args.cap)
-    compatible = all(
-        approx.projections[k][t] in approx.levels[k]
-        for k in range(args.depth)
-        for t in approx.levels[k + 1]
-    )
+    compatible = True
+    for k in range(args.depth):
+        level = set(approx.levels[k])
+        compatible = compatible and all(p in level for p in approx.projections[k].values())
     out = {
         "command": "nu",
         "depth": args.depth,
@@ -139,32 +161,40 @@ def cmd_nu(args) -> tuple[dict, str]:
         "checks": [{"name": "projections-land-in-levels", "passed": compatible}],
         "passed": compatible,
     }
-    return out, emit_chain_dot(approx.level_sizes(), "a")
+    return out, lambda: emit_chain_dot(approx.level_sizes(), "a")
 
 
-def cmd_adjunction(args) -> tuple[dict, str]:
+def cmd_adjunction(args) -> tuple[dict, Callable[[], str]]:
     b = specs.parse_coalgebra(_read_path(args.coalgebra))
     a = specs.parse_algebra(_read_path(args.algebra))
     report = fixcat.adjunction_check(b, a, args.depth, args.max_rank, args.cap)
     report["command"] = "adjunction"
     if report["hom_count"] == 0:
         report["note_bijection"] = "both induced families are empty; bijection holds vacuously"
-    sizes = [count_rank(b.sig, len(b.carrier), k) for k in range(args.max_rank + 1)]
-    return report, emit_chain_dot(sizes, "b")
+    return report, lambda: emit_chain_dot(
+        chain_sizes(b.sig, len(b.carrier), args.max_rank), "b"
+    )
 
 
-def cmd_trace(args) -> tuple[dict, str]:
+def cmd_trace(args) -> tuple[dict, Callable[[], str]]:
     b = specs.parse_coalgebra(_read_spec(args))
     elements = [args.element] if args.element is not None else list(b.carrier)
     for x in elements:
         if x not in b.carrier:
             raise specs.ParseError("trace", f"unknown carrier element {x!r}")
-    traces = {}
-    compatible = True
-    for x in elements:
-        stream = fixcat.infinite_trace(b, x)
-        compatible = compatible and stream.check_compatible(args.depth)
-        traces[x] = [term_to_str(stream.component(k)) for k in range(args.depth + 1)]
+    # every trace is a column of the one hom into the one-element algebra
+    (hom,) = fixcat.enumerate_coalg_to_alg(b, fixcat.one_element_algebra(b.sig))
+    compatible = all(
+        fixcat.induced_coalg_hom(hom, x).check_compatible(args.depth) for x in elements
+    )
+    # the components as text, stage by stage like the cone: a node over
+    # rendered children renders as a rank-1 term whose leaves are their texts
+    texts = {y: str(label) for y, (_, label) in hom.stage(0).items()}
+    traces = {x: [texts[x]] for x in elements}
+    for _ in range(args.depth):
+        texts = fixcat.next_stage(b, texts, _render_node)
+        for x in elements:
+            traces[x].append(texts[x])
     out = {
         "command": "trace",
         "depth": args.depth,
@@ -172,11 +202,14 @@ def cmd_trace(args) -> tuple[dict, str]:
         "checks": [{"name": "stream-compatibility", "passed": compatible}],
         "passed": compatible,
     }
-    sizes = [count_rank(b.sig, 1, k) for k in range(args.depth + 1)]
-    return out, emit_chain_dot(sizes, "b")
+    return out, lambda: emit_chain_dot(chain_sizes(b.sig, 1, args.depth), "b")
 
 
-def cmd_rel_dagger(args) -> tuple[dict, str]:
+def _render_node(symbol: str, children: tuple) -> str:
+    return tree_to_str(("op", symbol, tuple(("var", text) for text in children)))
+
+
+def cmd_rel_dagger(args) -> tuple[dict, Callable[[], str]]:
     rng = random.Random(args.seed)
     objects = [tuple(f"u{i}" for i in range(n)) for n in range(args.size + 1)]
     sample = [
@@ -200,17 +233,18 @@ def cmd_rel_dagger(args) -> tuple[dict, str]:
             "seed": args.seed,
         }
     )
-    return report, ""
+    return report, lambda: ""
 
 
-def cmd_rel_coincidence(args) -> tuple[dict, str]:
+def cmd_rel_coincidence(args) -> tuple[dict, Callable[[], str]]:
     obj = _read_spec(args)
     functor = specs.parse_functor(specs._require(obj, "functor", "rel-coincidence"))
     c = specs.parse_relation(specs._require(obj, "coalgebra", "rel-coincidence"))
     report = dagger.coincidence_check(functor, c, args.bound)
     report["command"] = "rel-coincidence"
-    sizes = [len(o) for o in dagger.mu_chain(functor, c, min(args.bound, 6)).objects]
-    return report, emit_chain_dot(sizes, "c")
+    return report, lambda: emit_chain_dot(
+        [len(o) for o in dagger.mu_chain(functor, c, min(args.bound, 6)).objects], "c"
+    )
 
 
 # -- driver --------------------------------------------------------------------
@@ -306,6 +340,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, dot = args.handler(args)
+        if args.format == "dot":
+            sys.stdout.write(dot())
     except (
         specs.ParseError,
         CapExceeded,
@@ -315,14 +351,13 @@ def main(argv=None) -> int:
         dagger.RelError,
         OSError,
         RecursionError,
+        StageTooLarge,
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2, default=repr))
-    elif args.format == "dot":
-        sys.stdout.write(dot)
-    else:
+    elif args.format == "text":
         _render_text(report, sys.stdout)
     return EXIT_OK if report.get("passed", True) else EXIT_CHECK_FAILED
 

@@ -15,6 +15,7 @@ an algebra morphism out of mu(b) and a coalgebra morphism into nu(a), and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -35,8 +36,6 @@ from .signature import (
     subst,
     term_to_str,
     unfold,
-    unfold_once,
-    var_term,
 )
 
 DEFAULT_MAX_RANK = 8
@@ -158,6 +157,32 @@ class CoalgToAlgHom:
     def as_dict(self) -> dict:
         return dict(self.mapping)
 
+    @functools.cached_property
+    def _cone(self) -> list:
+        return [{x: ("var", self._map[x]) for x in self.source.carrier}]
+
+    def stage(self, k: int) -> dict:
+        """Stage k of the cone into nu(a): generator y -> the tree of the
+        rank-k component of y's stream.  Stage 0 is f and stage k + 1 is
+        F(stage k) . b, so stage-(k+1) trees hold stage-k trees as children;
+        stages are built on first use and kept."""
+        cone = self._cone
+        while len(cone) <= k:
+            cone.append(
+                next_stage(self.source, cone[-1], lambda symbol, kids: ("op", symbol, kids))
+            )
+        return cone[k]
+
+
+def next_stage(b: Coalgebra, stage: Mapping, node: Callable) -> dict:
+    """F(stage) . b: each generator y to node(symbol, children), where
+    b(y) = symbol(z_1..z_m) and the children are stage[z_1]..stage[z_m]."""
+    out = {}
+    for y in b.carrier:
+        symbol, leaves = _flat(b.rule(y))
+        out[y] = node(symbol, tuple(stage[z] for z in leaves))
+    return out
+
 
 def _pivot(b: Coalgebra, a: Algebra, f: Mapping, x):
     """a(F(f)(b(x))): the value the pivot square demands of f at x."""
@@ -219,9 +244,10 @@ class ColimEq:
             tree = self.unfold_key(tree)
         return tree
 
-    def unfold_key(self, tree: Tree) -> Tree:
-        """The key one rank up: one unfolding step through the relabelled b."""
-        return subst(tree, self._rules.__getitem__)
+    def unfold_key(self, tree: Tree, memo: Optional[dict] = None) -> Tree:
+        """The key one rank up: one unfolding step through the relabelled b
+        (with a `memo`, see `subst`)."""
+        return subst(tree, self._rules.__getitem__, memo)
 
 
 def colim_eq(b: Coalgebra) -> ColimEq:
@@ -281,26 +307,50 @@ def mu_enumerate(
     """Minimal-rank canonical representatives of all colimit classes that have
     a representative of rank <= max_rank, in deterministic order.
 
-    Each new term is keyed by `ColimEq.key` at its own rank; the keys of the
-    classes found at lower ranks are carried forward one `unfold_key` per
-    rank, so dedup is a hash lookup rather than pairwise comparison.
+    Rank r is stage r in `enumerate_rank` order: a symbol over stage-(r-1)
+    terms, whose tree, place in `sort_key` order and key `ColimEq.key(t, r)`
+    are built from theirs.  Terms are visited in `sort_key` order; the keys
+    of the classes found at lower ranks are carried forward one `unfold_key`
+    per rank through one memo, so dedup is a hash lookup.
     """
     eq = colim_eq(b)
+    gens = sorted(b.carrier, key=str)
     classes: list[MuElement] = []
     frontier: dict = {}
     seen = 0
     for rank in range(max_rank + 1):
-        if rank > 0:
-            frontier = {eq.unfold_key(k): i for k, i in frontier.items()}
-        terms = enumerate_rank(b.sig, b.carrier, rank, cap)
-        seen += len(terms)
+        count = count_rank(b.sig, len(gens), rank)
+        if count > cap:
+            raise CapExceeded(rank, count, cap)
+        seen += count
         if seen > cap:
             raise CapExceeded(rank, seen, cap)
-        for t in sorted(terms, key=lambda t: t.sort_key()):
-            key = eq.key(t, rank)
+        if rank == 0:
+            # [tree, sort key, colimit key, place in sort order]; a sort key
+            # names each child by its place, equal places for equal keys
+            stage = [[("var", x), str(x), eq._leaf[x], 0] for x in gens]
+        else:
+            memo: dict = {}
+            frontier = {eq.unfold_key(k, memo): i for k, i in frontier.items()}
+            stage = [
+                [
+                    ("op", symbol, tuple(child[0] for child in combo)),
+                    (symbol, tuple(child[3] for child in combo)),
+                    ("op", symbol, tuple(child[2] for child in combo)),
+                    0,
+                ]
+                for symbol, arity in b.sig.sorted_ops()
+                for combo in itertools.product(stage, repeat=arity)
+            ]
+        place, last = -1, None
+        for entry in sorted(stage, key=lambda entry: entry[1]):
+            tree, sort_key, key, _ = entry
+            if sort_key != last:
+                place, last = place + 1, sort_key
+            entry[3] = place
             if key not in frontier:
                 frontier[key] = len(classes)
-                classes.append(MuElement(b, t))
+                classes.append(MuElement(b, Term.derived(b.sig, rank, tree)))
     return classes
 
 
@@ -365,51 +415,78 @@ class NuApprox:
 
 
 def nu_approx(a: Algebra, depth: int, cap: int = DEFAULT_TERM_CAP) -> NuApprox:
-    levels = [enumerate_rank(a.sig, a.carrier, k, cap) for k in range(depth + 1)]
-    projections = [
-        {t: collapse_bottom(t, a) for t in levels[k + 1]} for k in range(depth)
-    ]
+    """The levels come from `enumerate_rank`, whose level k + 1 lists each
+    symbol over the tuples of level k in a fixed order.  Walking the same
+    tuples of level-k projections builds each projection from its
+    children's: sigma(p(t_1)..p(t_m)), and a(sigma, x_1..x_m) at level 1."""
+    levels = [enumerate_rank(a.sig, a.carrier, 0, cap)]
+    below = [t.tree[1] for t in levels[0]]  # projections of the level below; labels at 0
+    projections = []
+    for k in range(depth):
+        level = enumerate_rank(a.sig, a.carrier, k + 1, cap)
+        projected = [
+            ("var", a.table[(symbol, combo)]) if k == 0 else ("op", symbol, combo)
+            for symbol, arity in a.sig.sorted_ops()
+            for combo in itertools.product(below, repeat=arity)
+        ]
+        levels.append(level)
+        projections.append(
+            {t: Term.derived(a.sig, k, tree) for t, tree in zip(level, projected)}
+        )
+        below = projected
     return NuApprox(a, depth, levels, projections)
 
 
 @dataclass
 class NuPointStream:
-    """A point of nu(a), presented lazily as compatible terms of each rank."""
+    """A point of nu(a): generator x's column of a hom's cone, read as one
+    compatible term per rank."""
 
-    algebra: Algebra
-    component: Callable[[int], Term]
+    hom: CoalgToAlgHom
+    generator: object
+
+    def component(self, k: int) -> Term:
+        return Term.derived(self.hom.source.sig, k, self.hom.stage(k)[self.generator])
 
     def check_compatible(self, depth: int) -> bool:
-        """Each component collapses onto the previous one, up to depth."""
-        previous = self.component(0)
+        """Each component collapses onto the previous one, up to depth.
+
+        Component k of x holds, j steps down, the stage-(k-j) trees of the
+        generators j unfoldings below x, so the check runs over the stages
+        from the bottom: a stage-1 tree collapses through the algebra, and a
+        stage-k tree (k >= 2) collapses to its own symbol over its children's
+        collapses, the stage-(k-2) trees they were matched with one step
+        earlier.  A generator y is checked at stage k when it lies at most
+        depth - k unfoldings below x, as comparing whole components needs;
+        each comparison touches O(arity) nodes.
+        """
+        b, table = self.hom.source, self.hom.target.table
+        reach = [{self.generator}]  # reach[j]: the generators <= j unfoldings below x
+        for _ in range(depth - 1):
+            reach.append(reach[-1].union(*(_flat(b.rule(y))[1] for y in reach[-1])))
+        matched: dict = {}  # id of a stage-(k-1) tree -> the stage-(k-2) tree it collapses to
         for k in range(1, depth + 1):
-            current = self.component(k)
-            if collapse_bottom(current, self.algebra) != previous:
-                return False
-            previous = current
+            below, stage = self.hom.stage(k - 1), self.hom.stage(k)
+            collapsed = {}
+            for y in reach[depth - k]:
+                _, symbol, children = stage[y]
+                if k == 1:
+                    down = ("var", table[(symbol, tuple(label for _, label in children))])
+                else:
+                    down = ("op", symbol, tuple(matched[id(c)] for c in children))
+                if down != below[y]:
+                    return False
+                collapsed[id(stage[y])] = below[y]
+            matched = collapsed
         return True
 
 
 def induced_coalg_hom(f: CoalgToAlgHom, x) -> NuPointStream:
-    """The nu(a) point of a generator: unfold along b, relabel leaves by f."""
-    b, a = f.source, f.target
-    if x not in b.carrier:
+    """The nu(a) point of a generator: its column of f's cone, in which the
+    rank-k component is b unfolded k times from x with leaves relabelled by f."""
+    if x not in f.source.carrier:
         raise FixcatError(f"{x!r} is not in the carrier")
-    rules, fmap = b.rules(), f._map
-    # only the latest unfolding is kept: components are read in rising
-    # order, and going back restarts from the generator
-    latest = [var_term(b.sig, x)]
-
-    def component(k: int) -> Term:
-        t = latest[0]
-        if t.rank > k:
-            t = var_term(b.sig, x)
-        while t.rank < k:
-            t = unfold_once(t, rules)
-        latest[0] = t
-        return map_leaves(t, fmap)
-
-    return NuPointStream(a, component)
+    return NuPointStream(f, x)
 
 
 def terminal_coalgebra_approx(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 Tree = tuple  # ("var", label) | ("op", symbol, (Tree, ...))
 
@@ -45,10 +45,15 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
-def fold(tree: Tree, leaf: Callable, op: Callable):
+def fold(tree: Tree, leaf: Callable, op: Callable, memo: Optional[dict] = None):
     """Fold a tree bottom-up: `leaf(label, depth)` at each generator leaf and
     `op(symbol, child_results, depth)` at each operation node, where the
-    root has depth 0 and `child_results` is a tuple in child order."""
+    root has depth 0 and `child_results` is a tuple in child order.
+
+    With a `memo` dict, an operation node met again by identity, in this
+    tree or in another folded with the same memo, is folded once; callbacks
+    must then ignore depth.  The memo keeps the nodes it has seen alive.
+    """
 
     def walk(node, depth):
         tag = node[0]
@@ -56,12 +61,17 @@ def fold(tree: Tree, leaf: Callable, op: Callable):
             return leaf(node[1], depth)
         if tag != "op":
             raise SignatureError(f"malformed tree node {node!r}")
+        if memo is not None and id(node) in memo:
+            return memo[id(node)][1]
         _, symbol, children = node
         below = depth + 1
         results = []
         for child in children:
             results.append(walk(child, below))
-        return op(symbol, tuple(results), depth)
+        result = op(symbol, tuple(results), depth)
+        if memo is not None:
+            memo[id(node)] = (node, result)
+        return result
 
     return walk(tree, 0)
 
@@ -70,9 +80,10 @@ def _op_node(symbol, children, depth):
     return ("op", symbol, children)
 
 
-def subst(tree: Tree, replace: Callable) -> Tree:
-    """The tree with each generator leaf x replaced by the tree replace(x)."""
-    return fold(tree, lambda label, depth: replace(label), _op_node)
+def subst(tree: Tree, replace: Callable, memo: Optional[dict] = None) -> Tree:
+    """The tree with each generator leaf x replaced by the tree replace(x);
+    with a `memo`, subtrees shared by identity are substituted once."""
+    return fold(tree, lambda label, depth: replace(label), _op_node, memo)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,12 @@ from midfix.lattice import NotMonotone
 SPECS = Path(__file__).resolve().parent.parent / "sample_specs"
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "midfix.cli", *argv],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -167,7 +168,7 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "error: ParseError" in proc.stderr and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("depth,code", [(400, 0), (600, 2)])
+    @pytest.mark.parametrize("depth,code", [(400, 0), (600, 0), (1500, 0)])
     def test_deep_trace_completes_or_exits_two(self, tmp_path, depth, code):
         # two states that feed each other: every component is a unary chain
         spec = {
@@ -184,6 +185,25 @@ class TestExitCodes:
             assert len(json.loads(proc.stdout)["traces"]["p"]) == depth + 1
         else:
             assert "error: RecursionError" in proc.stderr
+
+    @pytest.mark.parametrize("fmt,code", [("json", 0), ("dot", 2)])
+    def test_doubly_exponential_chain_dot_exits_two(self, tmp_path, fmt, code):
+        # |F^k(1)| over {s:1, n:2} squares at every stage: |F^28| has about
+        # 2^27 digits, while the trace of p -> s(p) stays one node per stage
+        spec = {
+            "sig": {"ops": [{"name": "s", "arity": 1}, {"name": "n", "arity": 2}]},
+            "carrier": ["p"],
+            "structure": {"p": {"op": "s", "args": ["p"]}},
+        }
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("trace", str(path), "--depth", "28", "--format", fmt, timeout=60)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            assert json.loads(proc.stdout)["traces"]["p"][-1] == "s(" * 28 + "*" + ")" * 28
+        else:
+            assert "error: StageTooLarge" in proc.stderr and proc.stdout == ""
 
     @pytest.mark.parametrize(
         "command,spec,error",
