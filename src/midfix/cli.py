@@ -16,7 +16,14 @@ import sys
 from typing import Callable
 
 from . import dagger, fixcat, lattice as lat, specs
-from .signature import CapExceeded, SignatureError, Signature, term_to_str, tree_to_str
+from .signature import (
+    CapExceeded,
+    Signature,
+    SignatureError,
+    count_rank,
+    term_to_str,
+    tree_to_str,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,11 +65,10 @@ def emit_lattice_dot(lattice: lat.FinLattice) -> str:
 
 
 def chain_sizes(sig: Signature, generators: int, stages: int) -> list[int]:
-    """|F^k(X)| for k <= stages, each from the one before:
-    c_0 = |X| and c_{k+1} = the sum over operations of c_k^arity."""
+    """|F^k(X)| for k <= stages, each stage counted from the one before."""
     sizes = [generators]
     while len(sizes) <= stages:
-        size = sum(sizes[-1] ** arity for _, arity in sig.ops)
+        size = count_rank(sig, sizes[-1], 1)
         if size >= _DOT_SIZE_LIMIT:
             raise StageTooLarge(f"|F^{len(sizes)}| has more than {DOT_MAX_DIGITS} digits")
         sizes.append(size)

@@ -415,10 +415,11 @@ class NuApprox:
 
 
 def nu_approx(a: Algebra, depth: int, cap: int = DEFAULT_TERM_CAP) -> NuApprox:
-    """The levels come from `enumerate_rank`, whose level k + 1 lists each
-    symbol over the tuples of level k in a fixed order.  Walking the same
-    tuples of level-k projections builds each projection from its
-    children's: sigma(p(t_1)..p(t_m)), and a(sigma, x_1..x_m) at level 1."""
+    """Levels F^k(A) for k <= depth, from `enumerate_rank`, and the projections
+    that `collapse_bottom` defines.  Level k + 1 lists each symbol over the
+    tuples of level k in a fixed order, so walking the same tuples of level-k
+    projections builds each projection from its children's:
+    sigma(p(t_1)..p(t_m)), and a(sigma, x_1..x_m) at level 1."""
     levels = [enumerate_rank(a.sig, a.carrier, 0, cap)]
     below = [t.tree[1] for t in levels[0]]  # projections of the level below; labels at 0
     projections = []
