@@ -16,14 +16,7 @@ import sys
 from typing import Callable
 
 from . import dagger, fixcat, lattice as lat, specs
-from .signature import (
-    CapExceeded,
-    Signature,
-    SignatureError,
-    count_rank,
-    term_to_str,
-    tree_to_str,
-)
+from .signature import CapExceeded, Signature, SignatureError, count_rank, term_to_str, tree_to_str
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

@@ -308,8 +308,8 @@ def mu_enumerate(
     a representative of rank <= max_rank, in deterministic order.
 
     Rank r is stage r in `enumerate_rank` order: a symbol over stage-(r-1)
-    terms, whose tree, place in `sort_key` order and key `ColimEq.key(t, r)`
-    are built from theirs.  Terms are visited in `sort_key` order; the keys
+    terms, whose tree, `sort_key` and key `ColimEq.key(t, r)` are built from
+    theirs, sharing them.  Terms are visited in `sort_key` order; the keys
     of the classes found at lower ranks are carried forward one `unfold_key`
     per rank through one memo, so dedup is a hash lookup.
     """
@@ -326,28 +326,18 @@ def mu_enumerate(
         if seen > cap:
             raise CapExceeded(rank, seen, cap)
         if rank == 0:
-            # [tree, sort key, colimit key, place in sort order]; a sort key
-            # names each child by its place, equal places for equal keys
-            stage = [[("var", x), str(x), eq._leaf[x], 0] for x in gens]
+            # (tree, `sort_key`, colimit key); each is a symbol over the
+            # children's at higher ranks
+            stage = [(("var", x), ("var", str(x)), eq._leaf[x]) for x in gens]
         else:
             memo: dict = {}
             frontier = {eq.unfold_key(k, memo): i for k, i in frontier.items()}
             stage = [
-                [
-                    ("op", symbol, tuple(child[0] for child in combo)),
-                    (symbol, tuple(child[3] for child in combo)),
-                    ("op", symbol, tuple(child[2] for child in combo)),
-                    0,
-                ]
+                tuple(("op", symbol, tuple(child[i] for child in combo)) for i in range(3))
                 for symbol, arity in b.sig.sorted_ops()
                 for combo in itertools.product(stage, repeat=arity)
             ]
-        place, last = -1, None
-        for entry in sorted(stage, key=lambda entry: entry[1]):
-            tree, sort_key, key, _ = entry
-            if sort_key != last:
-                place, last = place + 1, sort_key
-            entry[3] = place
+        for tree, _, key in sorted(stage, key=lambda entry: entry[1]):
             if key not in frontier:
                 frontier[key] = len(classes)
                 classes.append(MuElement(b, Term.derived(b.sig, rank, tree)))

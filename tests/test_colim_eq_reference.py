@@ -212,3 +212,32 @@ def test_mu_enumerate_matches_seed(b, max_rank):
         return
     classes = fixcat.mu_enumerate(b, max_rank, cap=2000)
     assert [(e.rank, e.representative) for e in classes] == expected
+
+
+@st.composite
+def colliding_coalgebras(draw):
+    """Like `small_coalgebras`, but on carriers such as (1, "1", 2): labels
+    whose `str` coincide tie in `Term.sort_key`, so the order of ties matters."""
+    arities = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    sig = signature([(f"op{i}", a) for i, a in enumerate(arities)])
+    labels = st.sampled_from([1, "1", 2, "2", "x"])
+    carrier = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    structure = {}
+    for x in carrier:
+        i = draw(st.integers(0, len(arities) - 1))
+        leaves = tuple(("var", draw(st.sampled_from(carrier))) for _ in range(arities[i]))
+        structure[x] = Term(sig, 1, ("op", f"op{i}", leaves))
+    return coalgebra(sig, carrier, structure)
+
+
+@settings(max_examples=200, deadline=None)
+@given(colliding_coalgebras())
+def test_mu_enumerate_orders_tied_sort_keys_like_the_seed(b):
+    try:
+        expected = mu_enumerate(b, 2, cap=2000)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            fixcat.mu_enumerate(b, 2, cap=2000)
+        return
+    classes = fixcat.mu_enumerate(b, 2, cap=2000)
+    assert [(e.rank, e.representative) for e in classes] == expected
