@@ -16,7 +16,7 @@ import sys
 from typing import Callable
 
 from . import dagger, fixcat, lattice as lat, specs
-from .signature import CapExceeded, Signature, SignatureError, count_rank, term_to_str, tree_to_str
+from .signature import CapExceeded, NodeTable, Signature, SignatureError, count_rank, tree_to_str
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -131,14 +131,15 @@ def cmd_lattice_galois(args) -> tuple[dict, Callable[[], str]]:
 
 def cmd_mu(args) -> tuple[dict, Callable[[], str]]:
     b = specs.parse_coalgebra(_read_spec(args))
-    classes = fixcat.mu_enumerate(b, args.max_rank, args.cap)
+    nodes = NodeTable()
+    classes = fixcat.mu_enumerate(b, args.max_rank, args.cap, nodes)
+    texts: dict = {}  # node id -> rendering, so shared subtrees render once
     out = {
         "command": "mu",
         "max_rank": args.max_rank,
         "class_count": len(classes),
         "classes": [
-            {"rank": e.rank, "representative": term_to_str(e.representative)}
-            for e in classes
+            {"rank": e.rank, "representative": nodes.render(e.node, texts)} for e in classes
         ],
         "checks": [{"name": "enumeration-within-cap", "passed": True}],
         "passed": True,

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from .signature import (
     CapExceeded,
     DEFAULT_TERM_CAP,
+    NodeTable,
     Signature,
     Term,
     Tree,
@@ -241,13 +242,8 @@ class ColimEq:
         """The canonical form of t at rank (>= t.rank)."""
         tree = subst(t.tree, self._leaf.__getitem__)
         for _ in range(rank - t.rank):
-            tree = self.unfold_key(tree)
+            tree = subst(tree, self._rules.__getitem__)
         return tree
-
-    def unfold_key(self, tree: Tree, memo: Optional[dict] = None) -> Tree:
-        """The key one rank up: one unfolding step through the relabelled b
-        (with a `memo`, see `subst`)."""
-        return subst(tree, self._rules.__getitem__, memo)
 
 
 def colim_eq(b: Coalgebra) -> ColimEq:
@@ -277,10 +273,16 @@ def colim_eq(b: Coalgebra) -> ColimEq:
 
 @dataclass(frozen=True)
 class MuElement:
-    """A point of mu(b): a representative term over B, of some rank."""
+    """A point of mu(b): a representative term over B, of some rank.
+
+    `mu_enumerate` also records the representative's id in its node table
+    and, in `below`, the enumeration indices of its children's classes.
+    """
 
     coalgebra: Coalgebra
     representative: Term
+    node: Optional[int] = field(default=None, compare=False, repr=False)
+    below: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -302,21 +304,29 @@ def mu_eq(e1: MuElement, e2: MuElement, eq: Optional[ColimEq] = None) -> bool:
 
 
 def mu_enumerate(
-    b: Coalgebra, max_rank: int, cap: int = DEFAULT_TERM_CAP
+    b: Coalgebra, max_rank: int, cap: int = DEFAULT_TERM_CAP, nodes: Optional[NodeTable] = None
 ) -> list[MuElement]:
     """Minimal-rank canonical representatives of all colimit classes that have
     a representative of rank <= max_rank, in deterministic order.
 
     Rank r is stage r in `enumerate_rank` order: a symbol over stage-(r-1)
-    terms, whose tree, `sort_key` and key `ColimEq.key(t, r)` are built from
-    theirs, sharing them.  Terms are visited in `sort_key` order; the keys
-    of the classes found at lower ranks are carried forward one `unfold_key`
-    per rank through one memo, so dedup is a hash lookup.
+    terms, whose node and key `ColimEq.key(t, r)` (as a node) are built
+    from theirs.  Terms are visited in `sort_key` order, sorting by symbol
+    and the children's places in the order of the rank below (tied children
+    share a place).  The keys of the classes found at lower ranks are
+    carried one unfolding up per rank, each node unfolded once, so dedup is
+    an int lookup.  Nodes go into `nodes` (a fresh table unless given), and
+    every class records its node and its children's classes.
     """
+    nodes = NodeTable() if nodes is None else nodes
     eq = colim_eq(b)
+    rules = {x: nodes.intern(tree) for x, tree in eq._rules.items()}  # relabelled b
+    unfolded: dict = {}
     gens = sorted(b.carrier, key=str)
     classes: list[MuElement] = []
-    frontier: dict = {}
+    frontier: dict = {}  # key node -> class index
+    stage: list = []  # (sort key, node, key node) per term of the rank
+    below: dict = {}  # node of a term of the rank below -> (its place, its class index)
     seen = 0
     for rank in range(max_rank + 1):
         count = count_rank(b.sig, len(gens), rank)
@@ -326,21 +336,30 @@ def mu_enumerate(
         if seen > cap:
             raise CapExceeded(rank, seen, cap)
         if rank == 0:
-            # (tree, `sort_key`, colimit key); each is a symbol over the
-            # children's at higher ranks
-            stage = [(("var", x), ("var", str(x)), eq._leaf[x]) for x in gens]
+            stage = [(str(x), nodes.node(("var", x)), nodes.node(eq._leaf[x])) for x in gens]
         else:
-            memo: dict = {}
-            frontier = {eq.unfold_key(k, memo): i for k, i in frontier.items()}
+            frontier = {nodes.subst(k, rules.__getitem__, unfolded): i for k, i in frontier.items()}
             stage = [
-                tuple(("op", symbol, tuple(child[i] for child in combo)) for i in range(3))
+                (
+                    (symbol, tuple([below[child[1]][0] for child in combo])),
+                    nodes.op(symbol, tuple([child[1] for child in combo])),
+                    nodes.op(symbol, tuple([child[2] for child in combo])),
+                )
                 for symbol, arity in b.sig.sorted_ops()
                 for combo in itertools.product(stage, repeat=arity)
             ]
-        for tree, _, key in sorted(stage, key=lambda entry: entry[1]):
+        ordered = sorted(stage, key=lambda entry: entry[0])
+        for _, node, key in ordered:
             if key not in frontier:
                 frontier[key] = len(classes)
-                classes.append(MuElement(b, Term.derived(b.sig, rank, tree)))
+                kids = nodes.keys[node][2] if rank else ()
+                term = Term.derived(b.sig, rank, nodes.tree(node))
+                classes.append(MuElement(b, term, node, tuple([below[k][1] for k in kids])))
+        below, place, last = {}, -1, None
+        for sort_key, node, key in ordered:
+            if sort_key != last:
+                place, last = place + 1, sort_key
+            below[node] = (place, frontier[key])
     return classes
 
 
@@ -452,10 +471,11 @@ class NuPointStream:
         each comparison touches O(arity) nodes.
         """
         b, table = self.hom.source, self.hom.target.table
+        leaves = {y: _flat(b.rule(y))[1] for y in b.carrier}
         reach = [{self.generator}]  # reach[j]: the generators <= j unfoldings below x
         for _ in range(depth - 1):
-            reach.append(reach[-1].union(*(_flat(b.rule(y))[1] for y in reach[-1])))
-        matched: dict = {}  # id of a stage-(k-1) tree -> the stage-(k-2) tree it collapses to
+            reach.append(reach[-1].union(*(leaves[y] for y in reach[-1])))
+        matched: dict = {}  # generator z -> the stage-(k-2) tree stage(k-1)[z] collapses to
         for k in range(1, depth + 1):
             below, stage = self.hom.stage(k - 1), self.hom.stage(k)
             collapsed = {}
@@ -464,10 +484,11 @@ class NuPointStream:
                 if k == 1:
                     down = ("var", table[(symbol, tuple(label for _, label in children))])
                 else:
-                    down = ("op", symbol, tuple(matched[id(c)] for c in children))
+                    # the children are stage(k-1)[z] for the leaves z of b(y)
+                    down = ("op", symbol, tuple(matched[z] for z in leaves[y]))
                 if down != below[y]:
                     return False
-                collapsed[id(stage[y])] = below[y]
+                collapsed[y] = below[y]
             matched = collapsed
         return True
 
@@ -537,8 +558,8 @@ def adjunction_check(
     induced fold given its generator restriction.
     """
     homs = enumerate_coalg_to_alg(b, a, cap)
-    classes = mu_enumerate(b, max_rank, cap)
-    eq = colim_eq(b)
+    nodes = NodeTable()
+    classes = mu_enumerate(b, max_rank, cap, nodes)
     checks = []
 
     def record(name, passed, witness=None):
@@ -549,19 +570,38 @@ def adjunction_check(
 
     record("hom-enumeration", True, {"count": len(homs)})
 
-    # (ii) induced folds are algebra homomorphisms on the enumerated classes
+    # (ii) induced folds are algebra homomorphisms on the enumerated classes.
+    # sigma(e_1..e_m) pads its arguments to their highest rank R and wraps
+    # them in sigma, so its fold is a(sigma, folds of the padded arguments).
+    # Classes come in rank order: layer R pads every class of rank <= R to
+    # R, one unfolding per node, and each hom folds each node once.
     applications = sum(len(classes) ** ar for _, ar in b.sig.ops)
     if applications * max(len(homs), 1) > cap:
         raise CapExceeded(max_rank, applications * max(len(homs), 1), cap)
+    rules = {x: nodes.intern(t.tree) for x, t in b.rules().items()}
+    unfolded: dict = {}
+    layers = [[]]  # layer r: the nodes of the classes of rank <= r, padded to rank r
+    for e in classes:
+        while e.rank >= len(layers):
+            layers.append([nodes.subst(n, rules.__getitem__, unfolded) for n in layers[-1]])
+        layers[e.rank].append(e.node)
+    ranks = [e.rank for e in classes]
+    folds = []  # per hom: the fold of each class
     alg_ok, alg_witness = True, None
     for hom in homs:
-        values = [induced_alg_hom(hom, e) for e in classes]
+        cache: dict = {}  # node -> its fold through this hom
+        at = [[nodes.fold(n, hom, a.apply, cache) for n in layer] for layer in layers]
+        values = [at[r][i] for i, r in enumerate(ranks)]
+        folds.append(values)
+        # both sides look sigma up over a tuple of folds, so an application
+        # can only fail if some argument folds differently once padded
+        if all(p == v for layer in at for p, v in zip(layer, values)):
+            continue
         for symbol, arity in b.sig.sorted_ops():
             for combo in itertools.product(range(len(classes)), repeat=arity):
-                applied = mu_algebra_apply(b, symbol, [classes[i] for i in combo])
-                lhs = induced_alg_hom(hom, applied)
-                rhs = a.apply(symbol, tuple(values[i] for i in combo))
-                if lhs != rhs:
+                padded = at[ranks[max(combo)]] if combo else ()
+                lhs = a.apply(symbol, tuple(padded[i] for i in combo))
+                if lhs != a.apply(symbol, tuple(values[i] for i in combo)):
                     alg_ok = False
                     alg_witness = {
                         "hom": hom.as_dict(),
@@ -592,27 +632,18 @@ def adjunction_check(
     record("injectivity", len(set(images)) == len(images))
 
     # (v) uniqueness: class values are forced by the generator restriction;
-    # a class is a generator or a symbol over the classes of its children
-    class_of = {eq.key(c.representative, max_rank): i for i, c in enumerate(classes)}
-    shapes = []
-    for e in classes:
-        tree = e.representative.tree
-        if tree[0] == "op":
-            _, symbol, children = tree
-            below = (Term.derived(b.sig, e.rank - 1, child) for child in children)
-            tree = ("op", symbol, tuple(class_of[eq.key(t, max_rank)] for t in below))
-        shapes.append(tree)
+    # a class is a generator or a symbol over the classes of its children,
+    # which have lower ranks and so come first
     uniq_ok, uniq_witness = True, None
-    for hom in homs:
-        forced = []  # a child's class has a lower rank, so it comes first
-        for e, shape in zip(classes, shapes):
-            if shape[0] == "var":
-                value = hom(shape[1])
+    for hom, values in zip(homs, folds):
+        forced = []
+        for e, value in zip(classes, values):
+            tree = e.representative.tree
+            if tree[0] == "var":
+                forced.append(hom(tree[1]))
             else:
-                _, symbol, below = shape
-                value = a.apply(symbol, tuple(forced[j] for j in below))
-            forced.append(value)
-            if value != induced_alg_hom(hom, e):
+                forced.append(a.apply(tree[1], tuple(forced[j] for j in e.below)))
+            if forced[-1] != value:
                 uniq_ok = False
                 uniq_witness = {
                     "hom": hom.as_dict(),

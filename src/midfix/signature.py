@@ -14,13 +14,19 @@ callbacks and takes one Python frame per tree level; `subst`, the fold that
 replaces leaves by trees, does unfolding, relabelling and grafting.
 `Term(...)` validates the tree a caller hands it; terms the library derives
 from checked terms are built by `Term.derived` and not checked again.
+
+A computation that meets the same subtrees many times (enumerating mu(b),
+the adjunction check, rendering its classes) puts them in a `NodeTable`:
+each distinct node gets an int id, so node keys hash in O(1) and a fold
+through `NodeTable.fold` visits each node once.  A table belongs to the
+computation that made it and dies with it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Tree = tuple  # ("var", label) | ("op", symbol, (Tree, ...))
 
@@ -45,45 +51,96 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
-def fold(tree: Tree, leaf: Callable, op: Callable, memo: Optional[dict] = None):
+def fold(tree: Tree, leaf: Callable, op: Callable):
     """Fold a tree bottom-up: `leaf(label, depth)` at each generator leaf and
     `op(symbol, child_results, depth)` at each operation node, where the
-    root has depth 0 and `child_results` is a tuple in child order.
-
-    With a `memo` dict, an operation node met again by identity, in this
-    tree or in another folded with the same memo, is folded once; callbacks
-    must then ignore depth.  The memo keeps the nodes it has seen alive.
+    root has depth 0 and `child_results` is a tuple in child order.  Every
+    node is visited, shared or not; `NodeTable.fold` visits each node once.
     """
-
-    def walk(node, depth):
-        tag = node[0]
-        if tag == "var":
-            return leaf(node[1], depth)
-        if tag != "op":
-            raise SignatureError(f"malformed tree node {node!r}")
-        if memo is not None and id(node) in memo:
-            return memo[id(node)][1]
-        _, symbol, children = node
-        below = depth + 1
-        results = []
-        for child in children:
-            results.append(walk(child, below))
-        result = op(symbol, tuple(results), depth)
-        if memo is not None:
-            memo[id(node)] = (node, result)
-        return result
-
-    return walk(tree, 0)
+    return _walk(tree, 0, leaf, op)
 
 
-def _op_node(symbol, children, depth):
+def _walk(node, depth, leaf, op):
+    # a module function, not a closure: a self-referencing closure is a
+    # reference cycle that keeps the callbacks alive until the next collection
+    tag = node[0]
+    if tag == "var":
+        return leaf(node[1], depth)
+    if tag != "op":
+        raise SignatureError(f"malformed tree node {node!r}")
+    _, symbol, children = node
+    below = depth + 1
+    results = []
+    for child in children:
+        results.append(_walk(child, below, leaf, op))
+    return op(symbol, tuple(results), depth)
+
+
+def _op_tree(symbol, children, depth=None):
     return ("op", symbol, children)
 
 
-def subst(tree: Tree, replace: Callable, memo: Optional[dict] = None) -> Tree:
-    """The tree with each generator leaf x replaced by the tree replace(x);
-    with a `memo`, subtrees shared by identity are substituted once."""
-    return fold(tree, lambda label, depth: replace(label), _op_node, memo)
+def subst(tree: Tree, replace: Callable) -> Tree:
+    """The tree with each generator leaf x replaced by the tree replace(x)."""
+    return fold(tree, lambda label, depth: replace(label), _op_tree)
+
+
+class NodeTable:
+    """Hash-consed term nodes: each distinct node gets an int id.
+
+    A node's key is its tree node with the children replaced by their ids:
+    ("var", label) or ("op", symbol, child ids).  Children get ids before
+    their parents, and equal trees get equal ids, so ids compare and hash in
+    O(1).  A table serves one computation; ids of different tables are
+    unrelated.
+    """
+
+    def __init__(self):
+        self.ids: dict = {}  # key -> id
+        self.keys: list = []  # id -> key
+        self._trees: dict = {}  # id -> tree, once asked for
+
+    def node(self, key) -> int:
+        """The id of a node key, adding the node if it is new."""
+        node = self.ids.get(key)
+        if node is None:
+            node = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return node
+
+    def op(self, symbol: str, kids: tuple) -> int:
+        return self.node(("op", symbol, kids))
+
+    def intern(self, tree: Tree) -> int:
+        return fold(
+            tree,
+            lambda label, depth: self.node(("var", label)),
+            lambda symbol, kids, depth: self.op(symbol, kids),
+        )
+
+    def fold(self, node: int, leaf: Callable, op: Callable, cache: dict):
+        """`leaf(label)` at each generator leaf and `op(symbol, child_results)`
+        at each operation node below `node`, each node once: `cache` maps ids
+        to results and is shared by folds with the same callbacks."""
+        if node not in cache:
+            key = self.keys[node]
+            if key[0] == "var":
+                cache[node] = leaf(key[1])
+            else:
+                cache[node] = op(key[1], tuple([self.fold(k, leaf, op, cache) for k in key[2]]))
+        return cache[node]
+
+    def subst(self, node: int, replace: Callable, cache: dict) -> int:
+        """The node with each generator leaf x replaced by the node replace(x)."""
+        return self.fold(node, replace, self.op, cache)
+
+    def tree(self, node: int) -> Tree:
+        """The node as a nested tuple, built once and sharing its children's."""
+        return self.fold(node, lambda label: ("var", label), _op_tree, self._trees)
+
+    def render(self, node: int, cache: dict) -> str:
+        """`tree_to_str` of the node, rendering each node once into `cache`."""
+        return self.fold(node, str, _render, cache)
 
 
 @dataclass(frozen=True)
@@ -237,7 +294,7 @@ def map_leaves(t: Term, relabel: Union[Mapping, Callable]) -> Term:
     return Term.derived(t.sig, t.rank, tree)
 
 
-def _render(symbol, children, depth) -> str:
+def _render(symbol, children, depth=None) -> str:
     return f"{symbol}({', '.join(children)})" if children else symbol
 
 

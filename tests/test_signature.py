@@ -4,6 +4,7 @@ import pytest
 
 from midfix.signature import (
     CapExceeded,
+    NodeTable,
     Signature,
     SignatureError,
     Term,
@@ -166,3 +167,32 @@ class TestUnfoldAndMapLeaves:
             composed = map_leaves(t, lambda v: g[h[v]])
             staged = map_leaves(map_leaves(t, h), g)
             assert composed == staged
+
+
+class TestNodeTable:
+    def test_equal_trees_share_one_id_and_one_tuple(self):
+        sig = signature([("z", 0), ("n", 2)])
+        terms = enumerate_rank(sig, ["p", "q"], 2)
+        nodes = NodeTable()
+        ids = [nodes.intern(t.tree) for t in terms]
+        assert len(set(ids)) == len(terms)
+        assert [nodes.intern(t.tree) for t in terms] == ids
+        for node, t in zip(ids, terms):
+            assert nodes.tree(node) == t.tree
+            key = nodes.keys[node]
+            if key[0] == "op":
+                assert all(k < node for k in key[2])
+                assert all(c is nodes.tree(k) for c, k in zip(nodes.tree(node)[2], key[2]))
+
+    def test_subst_and_render_agree_with_the_tree_walks(self):
+        sig = signature([("z", 0), ("s", 1), ("n", 2)])
+        b = {"p": rank1(sig, "n", "p", "q"), "q": rank1(sig, "s", "p")}
+        nodes = NodeTable()
+        rules = {x: nodes.intern(t.tree) for x, t in b.items()}
+        unfolded, texts = {}, {}
+        for t in enumerate_rank(sig, ["p", "q"], 2):
+            node = nodes.intern(t.tree)
+            assert nodes.render(node, texts) == term_to_str(t)
+            up = nodes.subst(node, rules.__getitem__, unfolded)
+            assert nodes.tree(up) == unfold_once(t, b).tree
+            assert nodes.render(up, texts) == term_to_str(unfold_once(t, b))

@@ -205,6 +205,22 @@ class TestExitCodes:
         else:
             assert "error: StageTooLarge" in proc.stderr and proc.stdout == ""
 
+    def test_deep_unary_mu_completes(self, tmp_path):
+        # stage r holds s-chains r deep; sorting a stage by nested-tuple sort
+        # keys compared them node by node, which took minutes at rank 300
+        spec = {
+            "sig": {"ops": [{"name": "z", "arity": 0}, {"name": "s", "arity": 1}]},
+            "carrier": ["p"],
+            "structure": {"p": {"op": "s", "args": ["p"]}},
+        }
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("mu", str(path), "--max-rank", "300", "--cap", "1000000", timeout=60)
+        assert proc.returncode == 0
+        classes = json.loads(proc.stdout)["classes"]
+        assert [c["rank"] for c in classes] == list(range(301))
+        assert classes[-1]["representative"] == "s(" * 299 + "z" + ")" * 299
+
     @pytest.mark.parametrize(
         "command,spec,error",
         [
