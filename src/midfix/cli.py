@@ -16,7 +16,7 @@ import sys
 from typing import Callable
 
 from . import dagger, fixcat, lattice as lat, specs
-from .signature import CapExceeded, NodeTable, Signature, SignatureError, count_rank, tree_to_str
+from .signature import CapExceeded, NodeTable, Signature, SignatureError, _render, count_rank
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -187,12 +187,11 @@ def cmd_trace(args) -> tuple[dict, Callable[[], str]]:
     compatible = all(
         fixcat.induced_coalg_hom(hom, x).check_compatible(args.depth) for x in elements
     )
-    # the components as text, stage by stage like the cone: a node over
-    # rendered children renders as a rank-1 term whose leaves are their texts
-    texts = {y: str(label) for y, (_, label) in hom.stage(0).items()}
+    # the components as text, stage by stage like the cone
+    texts = {y: str(hom(y)) for y in b.carrier}
     traces = {x: [texts[x]] for x in elements}
     for _ in range(args.depth):
-        texts = fixcat.next_stage(b, texts, _render_node)
+        texts = fixcat.next_stage(b, texts, _render)
         for x in elements:
             traces[x].append(texts[x])
     out = {
@@ -203,10 +202,6 @@ def cmd_trace(args) -> tuple[dict, Callable[[], str]]:
         "passed": compatible,
     }
     return out, lambda: emit_chain_dot(chain_sizes(b.sig, 1, args.depth), "b")
-
-
-def _render_node(symbol: str, children: tuple) -> str:
-    return tree_to_str(("op", symbol, tuple(("var", text) for text in children)))
 
 
 def cmd_rel_dagger(args) -> tuple[dict, Callable[[], str]]:

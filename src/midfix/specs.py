@@ -12,7 +12,7 @@ import json
 from typing import Optional
 
 from . import dagger, fixcat, lattice as lat
-from .signature import Signature, Term, signature
+from .signature import Signature, Term, signature, term_to_str
 
 
 # Arities are bounded at the input: with arity k, F(X) of a two-element X
@@ -120,6 +120,15 @@ def signature_to_json(sig: Signature) -> dict:
     return {"ops": [{"name": name, "arity": arity} for name, arity in sig.ops]}
 
 
+def _carrier(obj: dict, where: str) -> list:
+    """A (co)algebra carrier: scalars, none listed twice."""
+    carrier = _scalars(_require(obj, "carrier", where), f"{where}.carrier")
+    if len(set(carrier)) < len(carrier):
+        twice = next(x for i, x in enumerate(carrier) if x in carrier[:i])
+        raise ParseError(f"{where}.carrier", f"{twice!r} is listed twice")
+    return carrier
+
+
 def _parse_flat_term(sig: Signature, obj: dict, where: str) -> Term:
     symbol = _require(obj, "op", where)
     args = _scalars(_require(obj, "args", where), f"{where}.args")
@@ -132,7 +141,7 @@ def _parse_flat_term(sig: Signature, obj: dict, where: str) -> Term:
 
 def parse_coalgebra(obj: dict) -> fixcat.Coalgebra:
     sig = parse_signature(_require(obj, "sig", "coalgebra"))
-    carrier = _scalars(_require(obj, "carrier", "coalgebra"), "coalgebra.carrier")
+    carrier = _carrier(obj, "coalgebra")
     structure_obj = _object(_require(obj, "structure", "coalgebra"), "coalgebra.structure")
     structure = {}
     for x, entry in structure_obj.items():
@@ -162,7 +171,7 @@ def coalgebra_to_json(b: fixcat.Coalgebra) -> dict:
 
 def parse_algebra(obj: dict) -> fixcat.Algebra:
     sig = parse_signature(_require(obj, "sig", "algebra"))
-    carrier = _scalars(_require(obj, "carrier", "algebra"), "algebra.carrier")
+    carrier = _carrier(obj, "algebra")
     structure = {}
     for i, entry in enumerate(_list(_require(obj, "structure", "algebra"), "algebra.structure")):
         where = f"algebra.structure[{i}]"
@@ -173,6 +182,8 @@ def parse_algebra(obj: dict) -> fixcat.Algebra:
         value = _require(entry, "value", where)
         if value not in carrier:
             raise ParseError(where, f"value {value!r} outside the carrier")
+        if term in structure:
+            raise ParseError(where, f"a second entry for {term_to_str(term)}")
         structure[term] = value
     return fixcat.algebra(sig, carrier, structure)
 

@@ -213,6 +213,31 @@ def test_a_map_that_is_not_a_hom_is_incompatible_under_both():
     assert fixcat.induced_coalg_hom(hom, "p").check_compatible(0) is True
 
 
+def test_the_square_is_checked_exactly_within_reach():
+    # only r breaks the square (a(s(f(r))) = 1, f(r) = 0), and r lies two
+    # unfoldings below p: depth d checks the generators d - 1 below
+    sig = signature([("z", 0), ("s", 1)])
+    b = coalgebra(
+        sig,
+        ["p", "q", "r"],
+        {x: Term(sig, 1, ("op", "s", (("var", y),))) for x, y in zip("pqr", "qrr")},
+    )
+    a = algebra(
+        sig,
+        ["0", "1"],
+        {
+            Term(sig, 1, ("op", "z", ())): "0",
+            Term(sig, 1, ("op", "s", (("var", "0"),))): "1",
+            Term(sig, 1, ("op", "s", (("var", "1"),))): "0",
+        },
+    )
+    hom = unchecked_hom(b, a, {"p": "0", "q": "1", "r": "0"})
+    new, seed = fixcat.induced_coalg_hom(hom, "p"), induced_coalg_hom(hom, "p")
+    verdicts = [new.check_compatible(depth) for depth in range(5)]
+    assert verdicts == [True, True, True, False, False]
+    assert verdicts == [seed.check_compatible(depth) for depth in range(5)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(maps(), st.integers(0, 6))
 def test_nu_approx_matches_the_seed(instance, depth):

@@ -349,6 +349,40 @@ class TestExitCodes:
                 },
                 "FixcatError",
             ),
+            # a carrier element listed twice, and a second algebra entry for
+            # s(0), which would silently replace the first
+            (
+                "mu",
+                {
+                    "sig": {"ops": [{"name": "z", "arity": 0}]},
+                    "carrier": ["p", "p"],
+                    "structure": {"p": {"op": "z", "args": []}},
+                },
+                "ParseError: coalgebra.carrier: ",
+            ),
+            (
+                "nu",
+                {
+                    "sig": {"ops": [{"name": "z", "arity": 0}]},
+                    "carrier": ["0", "1", "0"],
+                    "structure": [{"op": "z", "args": [], "value": "0"}],
+                },
+                "ParseError: algebra.carrier: ",
+            ),
+            (
+                "nu",
+                {
+                    "sig": {"ops": [{"name": "z", "arity": 0}, {"name": "s", "arity": 1}]},
+                    "carrier": ["0", "1"],
+                    "structure": [
+                        {"op": "z", "args": [], "value": "0"},
+                        {"op": "s", "args": ["0"], "value": "1"},
+                        {"op": "s", "args": ["1"], "value": "0"},
+                        {"op": "s", "args": ["0"], "value": "0"},
+                    ],
+                },
+                "ParseError: algebra.structure[3]: ",
+            ),
         ],
     )
     def test_malformed_spec_exits_two(self, tmp_path, command, spec, error):
