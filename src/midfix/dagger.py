@@ -14,10 +14,12 @@ does not stabilize within the bound is reported as such, never decided.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 DEFAULT_CHAIN_BOUND = 32
 
@@ -30,12 +32,6 @@ class ObjectMismatch(RelError):
     pass
 
 
-class DualityViolation(RelError):
-    def __init__(self, stage: int):
-        super().__init__(f"stage {stage}: descending connector is not the converse")
-        self.stage = stage
-
-
 def _key(value):
     return (str(type(value)), repr(value))
 
@@ -44,32 +40,46 @@ def _sorted_obj(elements: Iterable) -> tuple:
     return tuple(sorted(set(elements), key=_key))
 
 
-@dataclass(frozen=True)
-class FinRel:
-    """A relation between two finite sets.
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    The objects are canonically sorted tuples; the pairs are a set, sorted
-    only when written out (`relation_to_json`).  Build one from outside data
-    with `finrel`, which checks that every pair lies in source x target.
+
+class FinRel(NamedTuple):
+    """A relation between two finite sets, stored as bit rows: bit j of
+    rows[i] is set when source[i] is related to target[j].
+
+    The objects are canonically sorted tuples, sorted once where a relation
+    is built from outside data (`finrel`); `pairs` is derived from the rows
+    and sorted only when written out (`relation_to_json`).  A named tuple,
+    so that building and comparing relations runs in C.
     """
 
     source: tuple
     target: tuple
-    pairs: frozenset
+    rows: tuple
 
-    def holds(self, x, y) -> bool:
-        return (x, y) in self.pairs
+    @property
+    def pairs(self) -> frozenset:
+        tgt = self.target
+        return frozenset(
+            (x, tgt[j]) for x, row in zip(self.source, self.rows) for j in _bits(row)
+        )
 
 
 def finrel(source: Iterable, target: Iterable, pairs: Iterable[tuple]) -> FinRel:
+    """Sort both objects and check that every pair lies in source x target."""
     src, tgt = _sorted_obj(source), _sorted_obj(target)
-    src_set, tgt_set = frozenset(src), frozenset(tgt)
-    checked = []
+    at, bit = {x: i for i, x in enumerate(src)}, {y: 1 << j for j, y in enumerate(tgt)}
+    rows = [0] * len(src)
     for x, y in pairs:
-        if x not in src_set or y not in tgt_set:
+        if x not in at or y not in bit:
             raise RelError(f"pair ({x!r}, {y!r}) leaves source x target")
-        checked.append((x, y))
-    return FinRel(src, tgt, frozenset(checked))
+        rows[at[x]] |= bit[y]
+    return FinRel(src, tgt, tuple(rows))
 
 
 def relation_to_json(r: FinRel) -> dict:
@@ -81,87 +91,97 @@ def relation_to_json(r: FinRel) -> dict:
     }
 
 
+def _identity(obj: tuple) -> FinRel:
+    """The identity on an object that is already canonically sorted."""
+    return FinRel(obj, obj, tuple(1 << i for i in range(len(obj))))
+
+
 def rel_identity(obj: Iterable) -> FinRel:
-    elems = _sorted_obj(obj)
-    return FinRel(elems, elems, frozenset((x, x) for x in elems))
+    return _identity(_sorted_obj(obj))
 
 
 def rel_compose(r: FinRel, s: FinRel) -> FinRel:
-    """Relational composition r ; s (first r, then s)."""
+    """Relational composition r ; s (first r, then s): each row of r ORs
+    the rows of s at its set bits."""
     if r.target != s.source:
         raise ObjectMismatch("middle objects differ")
-    image = {}
-    for y, z in s.pairs:
-        image.setdefault(y, []).append(z)
-    pairs = frozenset((x, z) for x, y in r.pairs for z in image.get(y, ()))
-    return FinRel(r.source, s.target, pairs)
+    srows = s.rows
+    rows = []
+    for row in r.rows:
+        image = 0
+        while row:
+            low = row & -row
+            image |= srows[low.bit_length() - 1]
+            row ^= low
+        rows.append(image)
+    return FinRel(r.source, s.target, tuple(rows))
 
 
 def rel_dagger(r: FinRel) -> FinRel:
-    """Converse: swap source and target and transpose every pair."""
-    return FinRel(r.target, r.source, frozenset((y, x) for x, y in r.pairs))
+    """Converse: swap source and target and transpose the rows."""
+    cols = [0] * len(r.target)
+    bit = 1
+    for row in r.rows:
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+        bit <<= 1
+    return FinRel(r.target, r.source, tuple(cols))
 
 
 def is_isomorphism(r: FinRel) -> bool:
-    """True when r is a bijective function (invertible in the category)."""
-    if len(r.pairs) != len(r.source) or len(r.source) != len(r.target):
-        return False
-    sources = [x for x, _ in r.pairs]
-    targets = [y for _, y in r.pairs]
-    return len(set(sources)) == len(r.source) and len(set(targets)) == len(r.target)
+    """True when r is a bijective function: with as many rows as columns, at
+    most one bit in every row and every column covered."""
+    return (
+        len(r.source) == len(r.target)
+        and all(not row & (row - 1) for row in r.rows)
+        and functools.reduce(operator.or_, r.rows, 0) == (1 << len(r.target)) - 1
+    )
 
 
 def all_relations(source: Iterable, target: Iterable):
-    """Every relation between two finite sets (2^(mn) of them)."""
+    """Every relation between two finite sets (2^(mn) of them), in the order of
+    the cell-by-cell product: the last target of the last source flips first."""
     src, tgt = _sorted_obj(source), _sorted_obj(target)
-    cells = [(x, y) for x in src for y in tgt]
-    for bits in itertools.product((False, True), repeat=len(cells)):
-        yield FinRel(src, tgt, frozenset(c for c, keep in zip(cells, bits) if keep))
-
-
-def _by_source(rels: Iterable[FinRel]) -> dict:
-    """source object -> the relations leaving it, in their given order."""
-    index = {}
-    for r in rels:
-        index.setdefault(r.source, []).append(r)
-    return index
+    m = len(tgt)
+    rows = [sum(1 << (m - 1 - j) for j in _bits(v)) for v in range(1 << m)]
+    for combo in itertools.product(rows, repeat=len(src)):
+        yield FinRel(src, tgt, combo)
 
 
 def dagger_laws_check(objects: list, sample: list[FinRel]) -> dict:
     """Involution, identity-on-objects, and contravariance over composition.
 
-    Contravariance visits only the composable pairs of the sample.
+    Contravariance visits only the composable pairs of the sample.  A law
+    that fails carries its first counterexample as the witness.
     """
-    checks = []
-
-    def record(name, passed, witness=None):
-        entry = {"name": name, "passed": bool(passed)}
-        if witness is not None:
-            entry["witness"] = witness
-        checks.append(entry)
-
-    converse = {r: rel_dagger(r) for r in sample}
-    bad = [relation_to_json(r) for r in sample if rel_dagger(converse[r]) != r]
-    record("involution", not bad, bad[:1] or None)
-
-    bad = [obj for obj in objects if rel_dagger(rel_identity(obj)) != rel_identity(obj)]
-    record("identity-on-objects", not bad, bad[:1] or None)
-
-    leaving = _by_source(sample)
-    bad = [
-        [relation_to_json(r), relation_to_json(s)]
-        for r in sample
-        for s in leaving.get(r.target, ())
-        if rel_dagger(rel_compose(r, s)) != rel_compose(converse[s], converse[r])
-    ]
-    record("contravariance", not bad, bad[:1] or None)
-
+    converse = [rel_dagger(r) for r in sample]
+    dual, leaving = list(zip(sample, converse)), {}
+    for r, rc in dual:  # source object -> the relations leaving it, with their converses
+        leaving.setdefault(r.source, []).append((r, rc))
+    bad = {
+        "involution": [relation_to_json(r) for r, rc in dual if rel_dagger(rc) != r],
+        "identity-on-objects": [
+            obj for obj in objects if rel_dagger(rel_identity(obj)) != rel_identity(obj)
+        ],
+        "contravariance": [
+            [relation_to_json(r), relation_to_json(s)]
+            for r, rc in dual
+            for s, sc in leaving.get(r.target, ())
+            if rel_dagger(rel_compose(r, s)) != rel_compose(sc, rc)
+        ],
+    }
+    checks = [{"name": name, "passed": not found} for name, found in bad.items()]
+    for check, found in zip(checks, bad.values()):
+        if found:
+            check["witness"] = found[:1]
     return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
 @dataclass(frozen=True)
 class RelEndo:
-    """An endofunctor on finite relations given by explicit maps."""
+    """An endofunctor on finite relations; on_object maps sorted objects to sorted ones."""
 
     name: str
     on_object: Callable[[tuple], tuple]
@@ -173,29 +193,37 @@ def identity_endofunctor() -> RelEndo:
 
 
 def constant_endofunctor(constant: Iterable) -> RelEndo:
-    k = _sorted_obj(constant)
-    identity = rel_identity(k)
-    return RelEndo("constant", lambda obj: k, lambda r: identity)
+    identity = rel_identity(constant)
+    return RelEndo("constant", lambda obj: identity.source, lambda r: identity)
 
 
 def pad_endofunctor(constant: Iterable) -> RelEndo:
     """The tagged disjoint union X + K: elements ("inl", x) and ("inr", k).
 
-    Tagging keeps the summands disjoint under iteration, so the functor
-    laws hold for every relation, not only those avoiding K.
+    Tagging keeps the summands disjoint under iteration, so the functor laws
+    hold for every relation, not only those avoiding K.  Each ("inl", x) sorts
+    before each ("inr", k), and a tag's key puts one prefix before repr(x), so
+    an object of one type keeps its order; only one whose first and last
+    elements differ in type (it is sorted by type first) is sorted again.
     """
-    k = _sorted_obj(constant)
+    inr = tuple(sorted((("inr", c) for c in _sorted_obj(constant)), key=_key))
+
+    def order(obj: tuple):
+        if not obj or type(obj[0]) is type(obj[-1]):
+            return range(len(obj))
+        return sorted(range(len(obj)), key=lambda i: _key(("inl", obj[i])))
 
     def on_object(obj: tuple) -> tuple:
-        return _sorted_obj(
-            tuple(("inl", x) for x in obj) + tuple(("inr", c) for c in k)
-        )
+        return tuple([("inl", obj[i]) for i in order(obj)]) + inr
 
     def on_rel(r: FinRel) -> FinRel:
-        pairs = frozenset((("inl", x), ("inl", y)) for x, y in r.pairs) | frozenset(
-            (("inr", c), ("inr", c)) for c in k
-        )
-        return FinRel(on_object(r.source), on_object(r.target), pairs)
+        rows, tgt = r.rows, order(r.target)
+        if not isinstance(tgt, range):
+            place = {old: 1 << new for new, old in enumerate(tgt)}
+            rows = [sum(place[j] for j in _bits(row)) for row in rows]
+        shift = len(r.target)
+        rows = [rows[i] for i in order(r.source)] + [1 << (shift + m) for m in range(len(inr))]
+        return FinRel(on_object(r.source), on_object(r.target), tuple(rows))
 
     return RelEndo("pad", on_object, on_rel)
 
@@ -207,7 +235,7 @@ def table_endofunctor(
 
     def on_object(obj: tuple) -> tuple:
         try:
-            return object_table[_sorted_obj(obj)]
+            return object_table[obj]
         except KeyError:
             raise ObjectMismatch(f"functor table does not cover object {obj!r}")
 
@@ -226,35 +254,27 @@ def rel_endo_laws_check(functor: RelEndo, rels: list[FinRel]) -> dict:
     Each law is checked once per distinct relation (and per composable pair
     of distinct relations); repeats cannot change the outcome.
     """
-    checks = []
-
-    def record(name, passed):
-        checks.append({"name": name, "passed": bool(passed)})
-
-    rels = list(dict.fromkeys(rels))
-    leaving = _by_source(rels)
+    rels, leaving = list(dict.fromkeys(rels)), {}
+    for r in rels:
+        leaving.setdefault(r.source, []).append(r)
     objs = {r.source for r in rels} | {r.target for r in rels}
-    record(
-        "preserves-identities",
-        all(
-            functor.on_rel(rel_identity(obj)) == rel_identity(functor.on_object(obj))
+    laws = {
+        "preserves-identities": all(
+            functor.on_rel(_identity(obj)) == _identity(functor.on_object(obj))
             for obj in objs
         ),
-    )
-    record(
-        "preserves-composition",
-        all(
+        "preserves-composition": all(
             functor.on_rel(rel_compose(r, s))
             == rel_compose(functor.on_rel(r), functor.on_rel(s))
             for r in rels
             for s in leaving.get(r.target, ())
         ),
-    )
-    record(
-        "commutes-with-dagger",
-        all(functor.on_rel(rel_dagger(r)) == rel_dagger(functor.on_rel(r)) for r in rels),
-    )
-    return {"checks": checks, "passed": all(c["passed"] for c in checks)}
+        "commutes-with-dagger": all(
+            functor.on_rel(rel_dagger(r)) == rel_dagger(functor.on_rel(r)) for r in rels
+        ),
+    }
+    checks = [{"name": name, "passed": passed} for name, passed in laws.items()]
+    return {"checks": checks, "passed": all(laws.values())}
 
 
 @dataclass
@@ -267,38 +287,30 @@ class RelChain:
     direction: str  # "forward" | "backward"
 
     def __post_init__(self):
+        ends = (0, 1) if self.direction == "forward" else (1, 0)
         for k, conn in enumerate(self.connectors):
-            src, tgt = (
-                (self.objects[k], self.objects[k + 1])
-                if self.direction == "forward"
-                else (self.objects[k + 1], self.objects[k])
-            )
-            if conn.source != src or conn.target != tgt:
+            if (conn.source, conn.target) != tuple(self.objects[k + e] for e in ends):
                 raise ObjectMismatch(f"connector {k} endpoints misaligned")
+
+
+def _chain(functor: RelEndo, current: FinRel, length: int, direction: str) -> RelChain:
+    forward = direction == "forward"
+    objects, connectors = [current.source if forward else current.target], []
+    for _ in range(length):
+        connectors.append(current)
+        objects.append(current.target if forward else current.source)
+        current = functor.on_rel(current)
+    return RelChain(objects, connectors, direction)
 
 
 def mu_chain(functor: RelEndo, c: FinRel, length: int) -> RelChain:
     """X -> F(X) -> F^2(X) -> ... with connectors c, F(c), F^2(c), ..."""
-    objects = [c.source]
-    connectors = []
-    current = c
-    for _ in range(length):
-        connectors.append(current)
-        objects.append(current.target)
-        current = functor.on_rel(current)
-    return RelChain(objects, connectors, "forward")
+    return _chain(functor, c, length, "forward")
 
 
 def nu_chain(functor: RelEndo, c_dagger: FinRel, length: int) -> RelChain:
     """X <- F(X) <- F^2(X) <- ... with connectors c+, F(c+), F^2(c+), ..."""
-    objects = [c_dagger.target]
-    connectors = []
-    current = c_dagger
-    for _ in range(length):
-        connectors.append(current)
-        objects.append(current.source)
-        current = functor.on_rel(current)
-    return RelChain(objects, connectors, "backward")
+    return _chain(functor, c_dagger, length, "backward")
 
 
 @dataclass(frozen=True)
@@ -306,7 +318,6 @@ class StabilizationResult:
     stabilized: bool
     stage: Optional[int]
     colimit: Optional[tuple]
-    inspected: int
 
 
 def chain_colimit_stabilized(chain: RelChain) -> StabilizationResult:
@@ -319,8 +330,8 @@ def chain_colimit_stabilized(chain: RelChain) -> StabilizationResult:
     iso = [is_isomorphism(conn) for conn in chain.connectors]
     for k in range(len(chain.connectors)):
         if all(iso[k:]):
-            return StabilizationResult(True, k, chain.objects[k], len(chain.connectors))
-    return StabilizationResult(False, None, None, len(chain.connectors))
+            return StabilizationResult(True, k, chain.objects[k])
+    return StabilizationResult(False, None, None)
 
 
 def coincidence_check(
@@ -339,14 +350,11 @@ def coincidence_check(
     laws = rel_endo_laws_check(functor, ascending.connectors)
 
     checks = list(laws["checks"])
-    duality = True
-    for k, (up, down) in enumerate(zip(ascending.connectors, descending.connectors)):
-        if rel_dagger(up) != down:
-            duality = False
-            checks.append({"name": "stage-duality", "passed": False, "witness": k})
-            break
-    if duality:
-        checks.append({"name": "stage-duality", "passed": True})
+    stages = enumerate(zip(ascending.connectors, descending.connectors))
+    stage = next((k for k, (up, down) in stages if rel_dagger(up) != down), None)
+    checks.append({"name": "stage-duality", "passed": stage is None})
+    if stage is not None:
+        checks[-1]["witness"] = stage
 
     up_stab = chain_colimit_stabilized(ascending)
     down_stab = chain_colimit_stabilized(descending)
@@ -357,11 +365,7 @@ def coincidence_check(
         "descending_stabilized": down_stab.stabilized,
     }
     if up_stab.stabilized:
-        agree = (
-            down_stab.stabilized
-            and down_stab.stage == up_stab.stage
-            and down_stab.colimit == up_stab.colimit
-        )
+        agree = down_stab == up_stab  # stabilized, at the same stage, on the same object
         checks.append({"name": "coincidence", "passed": agree})
         result["stage"] = up_stab.stage
         result["coincidence_object"] = list(up_stab.colimit) if agree else None
@@ -391,14 +395,9 @@ def random_instance(rng: random.Random, max_size: int = 3) -> tuple[RelEndo, Fin
     x = random_object(rng, "x", max_size)
     kind = rng.choice(["identity", "constant", "pad"])
     if kind == "identity":
-        functor = identity_endofunctor()
-        c = random_relation(rng, x, x)
-    elif kind == "constant":
-        k = random_object(rng, "k", max_size)
-        functor = constant_endofunctor(k)
-        c = random_relation(rng, x, k)
-    else:
-        k = random_object(rng, "k", max_size)
-        functor = pad_endofunctor(k)
-        c = random_relation(rng, x, functor.on_object(x))
-    return functor, c
+        return identity_endofunctor(), random_relation(rng, x, x)
+    k = random_object(rng, "k", max_size)
+    if kind == "constant":
+        return constant_endofunctor(k), random_relation(rng, x, k)
+    functor = pad_endofunctor(k)
+    return functor, random_relation(rng, x, functor.on_object(x))

@@ -68,9 +68,23 @@ def _pairs(value, where: str) -> list[tuple]:
     return out
 
 
+def _unique_keys(members: list) -> dict:
+    """A JSON object's members; a key given twice would silently keep its last value."""
+    out = dict(members)
+    if len(out) < len(members):
+        keys = [key for key, _ in members]
+        twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ParseError("<input>", f"key {twice!r} is given twice in one object")
+    return out
+
+
+# One decoder for every spec: json.loads with a hook would build a new one per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_json(text: str) -> dict:
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError("<input>", f"not valid JSON: {exc}") from exc
 
@@ -120,13 +134,19 @@ def signature_to_json(sig: Signature) -> dict:
     return {"ops": [{"name": name, "arity": arity} for name, arity in sig.ops]}
 
 
+def _distinct(value, where: str) -> list:
+    """Scalars, none listed twice; values Python treats as equal (1, 1.0,
+    true) count as the same element."""
+    elements = _scalars(value, where)
+    if len(set(elements)) < len(elements):
+        twice = next(x for i, x in enumerate(elements) if x in elements[:i])
+        raise ParseError(where, f"{twice!r} is listed twice")
+    return elements
+
+
 def _carrier(obj: dict, where: str) -> list:
-    """A (co)algebra carrier: scalars, none listed twice."""
-    carrier = _scalars(_require(obj, "carrier", where), f"{where}.carrier")
-    if len(set(carrier)) < len(carrier):
-        twice = next(x for i, x in enumerate(carrier) if x in carrier[:i])
-        raise ParseError(f"{where}.carrier", f"{twice!r} is listed twice")
-    return carrier
+    """A (co)algebra carrier."""
+    return _distinct(_require(obj, "carrier", where), f"{where}.carrier")
 
 
 def _parse_flat_term(sig: Signature, obj: dict, where: str) -> Term:
@@ -206,8 +226,8 @@ def algebra_to_json(a: fixcat.Algebra) -> dict:
 
 
 def parse_relation(obj: dict) -> dagger.FinRel:
-    source = _scalars(_require(obj, "source", "relation"), "relation.source")
-    target = _scalars(_require(obj, "target", "relation"), "relation.target")
+    source = _distinct(_require(obj, "source", "relation"), "relation.source")
+    target = _distinct(_require(obj, "target", "relation"), "relation.target")
     pairs = _pairs(_require(obj, "pairs", "relation"), "relation.pairs")
     return dagger.finrel(source, target, pairs)
 
@@ -216,7 +236,7 @@ relation_to_json = dagger.relation_to_json
 
 
 def _constant(obj: dict) -> list:
-    return _scalars(_require(obj, "constant", "functor"), "functor.constant")
+    return _distinct(_require(obj, "constant", "functor"), "functor.constant")
 
 
 def parse_functor(obj: dict) -> dagger.RelEndo:
@@ -231,8 +251,8 @@ def parse_functor(obj: dict) -> dagger.RelEndo:
         object_table = {}
         for i, entry in enumerate(_list(_require(obj, "objects", "functor"), "functor.objects")):
             where = f"functor.objects[{i}]"
-            source = _scalars(_require(entry, "object", where), f"{where}.object")
-            image = _scalars(_require(entry, "image", where), f"{where}.image")
+            source = _distinct(_require(entry, "object", where), f"{where}.object")
+            image = _distinct(_require(entry, "image", where), f"{where}.image")
             object_table[dagger._sorted_obj(source)] = dagger._sorted_obj(image)
         rel_table = {}
         for i, entry in enumerate(

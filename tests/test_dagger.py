@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from midfix import dagger
+from midfix import cli, dagger
 from midfix.dagger import (
     FinRel,
     ObjectMismatch,
@@ -70,6 +70,16 @@ class TestDagger:
         for r in all_relations(["1", "2"], ["a", "b"]):
             assert rel_dagger(rel_dagger(r)) == r
 
+    def test_all_relations_follow_the_cell_product(self):
+        # the enumeration order decides which witness a failed law reports
+        src, tgt = ("1", "2", "3"), ("a", "b")
+        cells = [(x, y) for x in src for y in tgt]
+        expected = [
+            {c for c, keep in zip(cells, bits) if keep}
+            for bits in itertools.product((False, True), repeat=len(cells))
+        ]
+        assert [set(r.pairs) for r in all_relations(src, tgt)] == expected
+
     def test_contravariance_random(self):
         rng = random.Random(2)
         for _ in range(200):
@@ -108,6 +118,14 @@ class TestDaggerLaws:
              "pairs": [["1", "a"], ["1", "b"], ["2", "b"]]}
         ]
         assert "frozenset" not in json.dumps(report, default=repr)
+
+    def test_every_relation_up_to_size_three(self, capsys):
+        # all 689 relations between objects of sizes 0..3 and every composable
+        # pair of them (about 350k), no random samples
+        code = cli.main(["rel-dagger", "--size", "3", "--samples", "0"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["passed"] is True
+        assert report["sample_size"] == 689
 
     def test_random_large_sample(self):
         rng = random.Random(3)

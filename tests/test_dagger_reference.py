@@ -2,16 +2,23 @@
 
 The functions below are the earlier implementation, copied verbatim: pairs
 kept as a `repr`-sorted tuple, every relation re-validated and re-sorted
-through `finrel`.  The library now keeps pairs in a frozenset and sorts
-only when writing a relation out; both must give the same objects, the
-same pair sets, and the same pairs in the same order once written.
+through `finrel`.  The library now keeps one bitmask row per source element
+and sorts pairs only when writing a relation out; both must give the same
+objects, the same pair sets, and the same pairs in the same order once
+written.
+
+A second set of oracles, further down, is the frozenset version that came
+between the two: `rel_identity`, `is_isomorphism` and the identity,
+constant and pad endofunctors, also copied verbatim.  The library's pad
+places tagged elements by position instead of sorting each stage; both
+must agree on every object, relation and isomorphism verdict.
 """
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from midfix import dagger
 from midfix.dagger import ObjectMismatch, RelError
@@ -104,3 +111,115 @@ def test_pairs_outside_the_objects_rejected_alike(args, stranger):
         finrel(source, target, bad)
     with pytest.raises(RelError):
         dagger.finrel(source, target, bad)
+
+
+# -- the frozenset versions of the identity, the isomorphism test and the
+# -- endofunctors, copied verbatim ---------------------------------------------
+
+
+def rel_identity(obj: Iterable) -> FinRel:
+    elems = _sorted_obj(obj)
+    return FinRel(elems, elems, frozenset((x, x) for x in elems))
+
+
+def is_isomorphism(r: FinRel) -> bool:
+    """True when r is a bijective function (invertible in the category)."""
+    if len(r.pairs) != len(r.source) or len(r.source) != len(r.target):
+        return False
+    sources = [x for x, _ in r.pairs]
+    targets = [y for _, y in r.pairs]
+    return len(set(sources)) == len(r.source) and len(set(targets)) == len(r.target)
+
+
+@dataclass(frozen=True)
+class RelEndo:
+    """An endofunctor on finite relations given by explicit maps."""
+
+    name: str
+    on_object: Callable[[tuple], tuple]
+    on_rel: Callable[[FinRel], FinRel]
+
+
+def identity_endofunctor() -> RelEndo:
+    return RelEndo("identity", lambda obj: obj, lambda r: r)
+
+
+def constant_endofunctor(constant: Iterable) -> RelEndo:
+    k = _sorted_obj(constant)
+    identity = rel_identity(k)
+    return RelEndo("constant", lambda obj: k, lambda r: identity)
+
+
+def pad_endofunctor(constant: Iterable) -> RelEndo:
+    """The tagged disjoint union X + K: elements ("inl", x) and ("inr", k).
+
+    Tagging keeps the summands disjoint under iteration, so the functor
+    laws hold for every relation, not only those avoiding K.
+    """
+    k = _sorted_obj(constant)
+
+    def on_object(obj: tuple) -> tuple:
+        return _sorted_obj(
+            tuple(("inl", x) for x in obj) + tuple(("inr", c) for c in k)
+        )
+
+    def on_rel(r: FinRel) -> FinRel:
+        pairs = frozenset((("inl", x), ("inl", y)) for x, y in r.pairs) | frozenset(
+            (("inr", c), ("inr", c)) for c in k
+        )
+        return FinRel(on_object(r.source), on_object(r.target), pairs)
+
+    return RelEndo("pad", on_object, on_rel)
+
+
+def same_rel(new: dagger.FinRel, old: FinRel) -> None:
+    """The same objects and pairs, the pairs written in `_key` order."""
+    assert (new.source, new.target) == (old.source, old.target)
+    assert new.pairs == frozenset(old.pairs)
+    written = dagger.relation_to_json(new)["pairs"]
+    assert written == [list(p) for p in sorted(old.pairs, key=_key)]
+
+
+@st.composite
+def bijection_args(draw):
+    """A bijection between two objects of one size, sometimes with one more pair."""
+    source = draw(st.lists(st.sampled_from(ATOMS), unique=True, max_size=4))
+    target = draw(st.lists(st.sampled_from(ATOMS), unique=True,
+                           min_size=len(source), max_size=len(source)))
+    pairs = list(zip(source, draw(st.permutations(target))))
+    if source and draw(st.booleans()):
+        pairs.append((draw(st.sampled_from(source)), draw(st.sampled_from(target))))
+    return source, target, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(objects, st.one_of(relation_args(), bijection_args()))
+def test_identity_and_isomorphism_match_the_parent(obj, args):
+    same_rel(dagger.rel_identity(obj), rel_identity(obj))
+    new, old = dagger.finrel(*args), finrel(*args)
+    assert dagger.is_isomorphism(new) == is_isomorphism(old)
+
+
+FUNCTORS = {
+    "identity": (lambda k: dagger.identity_endofunctor(), lambda k: identity_endofunctor()),
+    "constant": (dagger.constant_endofunctor, constant_endofunctor),
+    "pad": (dagger.pad_endofunctor, pad_endofunctor),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FUNCTORS)), objects, relation_args())
+# ("inl", "a") sorts before ("inl", 0) although "a" sorts after 0
+@example("pad", [10, "9"], ([0, "a"], [0, "a"], [(0, "a"), ("a", 0)]))
+def test_endofunctors_match_the_parent(kind, constant, args):
+    # three iterates from a base that may mix types, whose padded order
+    # then differs from the base order
+    new_f, old_f = (make(constant) for make in FUNCTORS[kind])
+    new, old = dagger.finrel(*args), finrel(*args)
+    new_obj, old_obj = new.source, old.source
+    for _ in range(3):
+        new_obj, old_obj = new_f.on_object(new_obj), old_f.on_object(old_obj)
+        assert new_obj == old_obj
+        new, old = new_f.on_rel(new), old_f.on_rel(old)
+        same_rel(new, old)
+

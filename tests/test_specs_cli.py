@@ -383,11 +383,76 @@ class TestExitCodes:
                 },
                 "ParseError: algebra.structure[3]: ",
             ),
+            # a key given twice in one JSON object (written as raw text, which
+            # json.dumps cannot produce), which would keep only its last value
+            (
+                "trace",
+                '{"sig": {"ops": [{"name": "z", "arity": 0}, {"name": "s", "arity": 1}]},'
+                ' "carrier": ["p"],'
+                ' "structure": {"p": {"op": "z", "args": []}, "p": {"op": "s", "args": ["p"]}}}',
+                "ParseError: <input>: key 'p' is given twice",
+            ),
+            (
+                "lattice-fixpoints",
+                '{"elements": ["a", "b"], "leq": [["a", "a"], ["a", "b"], ["b", "b"]],'
+                ' "map": {"a": "a", "b": "b", "a": "b"}}',
+                "ParseError: <input>: key 'a' is given twice",
+            ),
+            # a relation object listing an element twice, also as values
+            # Python treats as equal (1, 1.0, true)
+            (
+                "rel-coincidence",
+                {
+                    "functor": {"kind": "identity"},
+                    "coalgebra": {
+                        "source": [1, True, "a", "a"],
+                        "target": [1, True, "a", "a"],
+                        "pairs": [[True, 1]],
+                    },
+                },
+                "ParseError: relation.source: ",
+            ),
+            (
+                "rel-coincidence",
+                {
+                    "functor": {"kind": "identity"},
+                    "coalgebra": {"source": ["a"], "target": ["a", "a"], "pairs": []},
+                },
+                "ParseError: relation.target: ",
+            ),
+            (
+                "rel-coincidence",
+                {
+                    "functor": {"kind": "constant", "constant": [1, 1.0]},
+                    "coalgebra": {"source": ["x"], "target": [1], "pairs": []},
+                },
+                "ParseError: functor.constant: ",
+            ),
+            (
+                "rel-coincidence",
+                {
+                    "functor": {"kind": "pad", "constant": [0, False]},
+                    "coalgebra": {"source": ["x"], "target": ["x"], "pairs": []},
+                },
+                "ParseError: functor.constant: ",
+            ),
+            (
+                "rel-coincidence",
+                {
+                    "functor": {
+                        "kind": "table",
+                        "objects": [{"object": ["x", "x"], "image": ["x"]}],
+                        "relations": [],
+                    },
+                    "coalgebra": {"source": ["x"], "target": ["x"], "pairs": []},
+                },
+                "ParseError: functor.objects[0].object: ",
+            ),
         ],
     )
     def test_malformed_spec_exits_two(self, tmp_path, command, spec, error):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         proc = run_cli(command, str(path))
         assert proc.returncode == 2
         assert f"error: {error}" in proc.stderr
