@@ -16,6 +16,7 @@ import sys
 from typing import Callable
 
 from . import dagger, fixcat, lattice as lat, specs
+from .checks import verdict
 from .signature import CapExceeded, NodeTable, Signature, SignatureError, _render, count_rank
 
 EXIT_OK = 0
@@ -93,7 +94,8 @@ def cmd_lattice_fixpoints(args) -> tuple[dict, Callable[[], str]]:
     report = lat.classify_points(f)
     mu_table = {x: lat.mu_lattice(f, x) for x in report.pre_fixed}
     nu_table = {y: lat.nu_lattice(f, y) for y in report.post_fixed}
-    fixed_ok = [x for x in lattice.elements if f(x) == x] == list(report.fixed)
+    fixed = [x for x in lattice.elements if f(x) == x]
+    misclassified = None if fixed == list(report.fixed) else {"fixed_points": fixed}
     out = {
         "command": "lattice-fixpoints",
         "pre_fixed": list(report.pre_fixed),
@@ -101,8 +103,7 @@ def cmd_lattice_fixpoints(args) -> tuple[dict, Callable[[], str]]:
         "fixed": list(report.fixed),
         "mu": mu_table,
         "nu": nu_table,
-        "checks": [{"name": "fixed-is-intersection", "passed": fixed_ok}],
-        "passed": fixed_ok,
+        **verdict({"fixed-is-intersection": misclassified}),
     }
     return out, lambda: emit_lattice_dot(lattice)
 
@@ -112,19 +113,14 @@ def cmd_lattice_galois(args) -> tuple[dict, Callable[[], str]]:
     if f is None:
         raise specs.ParseError("lattice", "this command needs a 'map' entry")
     report = lat.galois_check(f)
+    violations = [list(v) for v in report.violations]
     out = {
         "command": "lattice-galois",
         "pairs_checked": len(report.pre_fixed) * len(report.post_fixed),
         "mu": report.mu_table,
         "nu": report.nu_table,
-        "violations": [list(v) for v in report.violations],
-        "checks": [
-            {
-                "name": "galois-biconditional",
-                "passed": report.galois_ok,
-            }
-        ],
-        "passed": report.galois_ok,
+        "violations": violations,
+        **verdict({"galois-biconditional": violations[0] if violations else None}),
     }
     return out, lambda: emit_lattice_dot(lattice)
 
@@ -141,8 +137,7 @@ def cmd_mu(args) -> tuple[dict, Callable[[], str]]:
         "classes": [
             {"rank": e.rank, "representative": nodes.render(e.node, texts)} for e in classes
         ],
-        "checks": [{"name": "enumeration-within-cap", "passed": True}],
-        "passed": True,
+        **verdict({}),  # a cap overrun exits 2 instead
     }
     return out, lambda: emit_chain_dot(chain_sizes(b.sig, len(b.carrier), args.max_rank), "b")
 
@@ -150,16 +145,11 @@ def cmd_mu(args) -> tuple[dict, Callable[[], str]]:
 def cmd_nu(args) -> tuple[dict, Callable[[], str]]:
     a = specs.parse_algebra(_read_spec(args))
     approx = fixcat.nu_approx(a, args.depth, args.cap)
-    compatible = True
-    for k in range(args.depth):
-        level = set(approx.levels[k])
-        compatible = compatible and all(p in level for p in approx.projections[k].values())
     out = {
         "command": "nu",
         "depth": args.depth,
         "level_sizes": approx.level_sizes(),
-        "checks": [{"name": "projections-land-in-levels", "passed": compatible}],
-        "passed": compatible,
+        **verdict({}),  # each projection is built from the tuples of its level
     }
     return out, lambda: emit_chain_dot(approx.level_sizes(), "a")
 
@@ -182,13 +172,10 @@ def cmd_trace(args) -> tuple[dict, Callable[[], str]]:
     for x in elements:
         if x not in b.carrier:
             raise specs.ParseError("trace", f"unknown carrier element {x!r}")
-    # every trace is a column of the one hom into the one-element algebra
-    (hom,) = fixcat.enumerate_coalg_to_alg(b, fixcat.one_element_algebra(b.sig))
-    compatible = all(
-        fixcat.induced_coalg_hom(hom, x).check_compatible(args.depth) for x in elements
-    )
-    # the components as text, stage by stage like the cone
-    texts = {y: str(hom(y)) for y in b.carrier}
+    # every trace is a column of the cone of the one hom into the one-element
+    # algebra, which sends each generator to "*" (the pivot square into that
+    # algebra always holds); the components as text, stage by stage
+    texts = dict.fromkeys(b.carrier, "*")
     traces = {x: [texts[x]] for x in elements}
     for _ in range(args.depth):
         texts = fixcat.next_stage(b, texts, _render)
@@ -198,8 +185,7 @@ def cmd_trace(args) -> tuple[dict, Callable[[], str]]:
         "command": "trace",
         "depth": args.depth,
         "traces": traces,
-        "checks": [{"name": "stream-compatibility", "passed": compatible}],
-        "passed": compatible,
+        **verdict({}),
     }
     return out, lambda: emit_chain_dot(chain_sizes(b.sig, 1, args.depth), "b")
 
@@ -346,6 +332,7 @@ def main(argv=None) -> int:
         dagger.RelError,
         OSError,
         RecursionError,
+        MemoryError,
         StageTooLarge,
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
+from .checks import verdict
+
 DEFAULT_CHAIN_BOUND = 32
 
 
@@ -150,6 +152,12 @@ def all_relations(source: Iterable, target: Iterable):
         yield FinRel(src, tgt, combo)
 
 
+def _first(found: Iterable) -> Optional[list]:
+    """[the first counterexample found], or None when there is none; found
+    is lazy, so later counterexamples are never built."""
+    return next(([x] for x in found), None)
+
+
 def dagger_laws_check(objects: list, sample: list[FinRel]) -> dict:
     """Involution, identity-on-objects, and contravariance over composition.
 
@@ -160,23 +168,20 @@ def dagger_laws_check(objects: list, sample: list[FinRel]) -> dict:
     dual, leaving = list(zip(sample, converse)), {}
     for r, rc in dual:  # source object -> the relations leaving it, with their converses
         leaving.setdefault(r.source, []).append((r, rc))
-    bad = {
-        "involution": [relation_to_json(r) for r, rc in dual if rel_dagger(rc) != r],
-        "identity-on-objects": [
-            obj for obj in objects if rel_dagger(rel_identity(obj)) != rel_identity(obj)
-        ],
-        "contravariance": [
-            [relation_to_json(r), relation_to_json(s)]
-            for r, rc in dual
-            for s, sc in leaving.get(r.target, ())
-            if rel_dagger(rel_compose(r, s)) != rel_compose(sc, rc)
-        ],
-    }
-    checks = [{"name": name, "passed": not found} for name, found in bad.items()]
-    for check, found in zip(checks, bad.values()):
-        if found:
-            check["witness"] = found[:1]
-    return {"checks": checks, "passed": all(c["passed"] for c in checks)}
+    return verdict(
+        {
+            "involution": _first(relation_to_json(r) for r, rc in dual if rel_dagger(rc) != r),
+            "identity-on-objects": _first(
+                obj for obj in objects if rel_dagger(rel_identity(obj)) != rel_identity(obj)
+            ),
+            "contravariance": _first(
+                [relation_to_json(r), relation_to_json(s)]
+                for r, rc in dual
+                for s, sc in leaving.get(r.target, ())
+                if rel_dagger(rel_compose(r, s)) != rel_compose(sc, rc)
+            ),
+        }
+    )
 
 
 @dataclass(frozen=True)
@@ -249,32 +254,35 @@ def table_endofunctor(
 
 
 def rel_endo_laws_check(functor: RelEndo, rels: list[FinRel]) -> dict:
-    """Functoriality and the dagger-functor law on the supplied relations.
+    """Functoriality and the dagger-functor law on the supplied relations."""
+    return verdict(_endo_law_witnesses(functor, rels))
 
-    Each law is checked once per distinct relation (and per composable pair
-    of distinct relations); repeats cannot change the outcome.
+
+def _endo_law_witnesses(functor: RelEndo, rels: list[FinRel]) -> dict:
+    """Each law's first counterexample, in the form `dagger_laws_check`
+    writes, or None.  Each law is checked once per distinct relation (and
+    per composable pair of distinct relations), in the order the relations
+    and their objects first appear; repeats cannot change the outcome.
     """
     rels, leaving = list(dict.fromkeys(rels)), {}
     for r in rels:
         leaving.setdefault(r.source, []).append(r)
-    objs = {r.source for r in rels} | {r.target for r in rels}
-    laws = {
-        "preserves-identities": all(
-            functor.on_rel(_identity(obj)) == _identity(functor.on_object(obj))
-            for obj in objs
+    objs = dict.fromkeys(obj for r in rels for obj in (r.source, r.target))
+    on_rel = functor.on_rel
+    return {
+        "preserves-identities": _first(
+            obj for obj in objs if on_rel(_identity(obj)) != _identity(functor.on_object(obj))
         ),
-        "preserves-composition": all(
-            functor.on_rel(rel_compose(r, s))
-            == rel_compose(functor.on_rel(r), functor.on_rel(s))
+        "preserves-composition": _first(
+            [relation_to_json(r), relation_to_json(s)]
             for r in rels
             for s in leaving.get(r.target, ())
+            if on_rel(rel_compose(r, s)) != rel_compose(on_rel(r), on_rel(s))
         ),
-        "commutes-with-dagger": all(
-            functor.on_rel(rel_dagger(r)) == rel_dagger(functor.on_rel(r)) for r in rels
+        "commutes-with-dagger": _first(
+            relation_to_json(r) for r in rels if on_rel(rel_dagger(r)) != rel_dagger(on_rel(r))
         ),
     }
-    checks = [{"name": name, "passed": passed} for name, passed in laws.items()]
-    return {"checks": checks, "passed": all(laws.values())}
 
 
 @dataclass
@@ -347,32 +355,33 @@ def coincidence_check(
     """
     ascending = mu_chain(functor, c, bound)
     descending = nu_chain(functor, rel_dagger(c), bound)
-    laws = rel_endo_laws_check(functor, ascending.connectors)
-
-    checks = list(laws["checks"])
+    witnesses = _endo_law_witnesses(functor, ascending.connectors)
     stages = enumerate(zip(ascending.connectors, descending.connectors))
-    stage = next((k for k, (up, down) in stages if rel_dagger(up) != down), None)
-    checks.append({"name": "stage-duality", "passed": stage is None})
-    if stage is not None:
-        checks[-1]["witness"] = stage
+    witnesses["stage-duality"] = next(
+        (k for k, (up, down) in stages if rel_dagger(up) != down), None
+    )
 
     up_stab = chain_colimit_stabilized(ascending)
     down_stab = chain_colimit_stabilized(descending)
     result = {
         "bound": bound,
-        "checks": checks,
+        "checks": None,  # filled in by the verdict below, keeping its place
         "ascending_stabilized": up_stab.stabilized,
         "descending_stabilized": down_stab.stabilized,
     }
     if up_stab.stabilized:
         agree = down_stab == up_stab  # stabilized, at the same stage, on the same object
-        checks.append({"name": "coincidence", "passed": agree})
+        witnesses["coincidence"] = (
+            None
+            if agree
+            else {"descending_stage": down_stab.stage, "descending_object": down_stab.colimit}
+        )
         result["stage"] = up_stab.stage
         result["coincidence_object"] = list(up_stab.colimit) if agree else None
         result["isomorphism"] = "identity on the stable object" if agree else None
     else:
         result["note"] = "chains did not stabilize within the bound; stage-wise duality only"
-    result["passed"] = all(c["passed"] for c in checks)
+    result.update(verdict(witnesses))
     return result
 
 

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
+from .checks import verdict
 from .signature import (
     CapExceeded,
     DEFAULT_TERM_CAP,
@@ -33,7 +34,6 @@ from .signature import (
     f_enumerate,
     f_terms,
     fold,
-    map_leaves,
     subst,
     term_to_str,
     unfold,
@@ -61,6 +61,7 @@ class Coalgebra:
     _rules: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _distinct(self.carrier)
         rules = dict(self.structure)
         for x in self.carrier:
             if x not in rules:
@@ -96,6 +97,7 @@ class Algebra:
     table: dict = field(init=False, repr=False, compare=False)  # (symbol, args) -> value
 
     def __post_init__(self):
+        _distinct(self.carrier)
         table = {}
         for t, value in self.structure:
             if t.rank != 1 or t.sig != self.sig:
@@ -104,7 +106,7 @@ class Algebra:
         # total iff every element of F(A) is a key: count the keys over A,
         # and only search F(A) (lazily, it may be huge) when one is missing
         inside = sum(all(x in self.carrier for x in leaves) for _, leaves in table)
-        if inside < count_rank(self.sig, len(set(self.carrier)), 1):
+        if inside < count_rank(self.sig, len(self.carrier), 1):
             missing = next(t for t in f_terms(self.sig, self.carrier) if _flat(t) not in table)
             raise FixcatError(f"structure not total: missing {term_to_str(missing)}")
         for t, value in self.structure:
@@ -116,6 +118,13 @@ class Algebra:
         if len(values) != self.sig.arity(symbol):
             raise ArityMismatch(f"{symbol!r} applied to {len(values)} arguments")
         return self.table[(symbol, tuple(values))]
+
+
+def _distinct(carrier: tuple) -> None:
+    """Reject a carrier that lists an element twice (1, 1.0 and True are one)."""
+    if len(set(carrier)) < len(carrier):
+        twice = next(x for i, x in enumerate(carrier) if x in carrier[:i])
+        raise FixcatError(f"carrier lists {twice!r} twice")
 
 
 def _flat(t: Term) -> tuple:
@@ -499,23 +508,6 @@ def infinite_trace(b: Coalgebra, x) -> NuPointStream:
 # -- structural checks -------------------------------------------------------
 
 
-def check_coalg_hom(src: Coalgebra, tgt: Coalgebra, g: Mapping) -> bool:
-    """g : src -> tgt is a coalgebra homomorphism: tgt(g(x)) = F(g)(src(x))."""
-    gmap = dict(g)
-    return all(
-        tgt.rule(gmap[x]) == map_leaves(src.rule(x), gmap) for x in src.carrier
-    )
-
-
-def check_alg_hom(src: Algebra, tgt: Algebra, h: Mapping) -> bool:
-    """h : src -> tgt is an algebra homomorphism: h(src(t)) = tgt(F(h)(t))."""
-    hmap = dict(h)
-    return all(
-        hmap[src.table[(symbol, values)]] == tgt.table[(symbol, tuple(hmap[v] for v in values))]
-        for symbol, values in map(_flat, f_enumerate(src.sig, src.carrier))
-    )
-
-
 def adjunction_check(
     b: Coalgebra,
     a: Algebra,
@@ -525,26 +517,18 @@ def adjunction_check(
 ) -> dict:
     """Verify Alg(mu(b), a) = CoalgToAlg(b, a) = Coalg(b, nu(a)) at desk scale.
 
-    Five sub-checks: hom enumeration, the algebra-morphism law for every
-    induced fold, the coalgebra-morphism law for every induced stream (the
-    pivot square at the generators within depth - 1 unfoldings of each
-    stream's generator), injectivity of both inductions, and bound-limited
-    uniqueness of the induced fold given its generator restriction.
+    Four sub-checks: the algebra-morphism law for every induced fold, the
+    coalgebra-morphism law for every induced stream (the pivot square at
+    the generators within depth - 1 unfoldings of each stream's generator),
+    injectivity of the induction (distinct homs fold the enumerated classes
+    differently), and bound-limited uniqueness of the induced fold given
+    its generator restriction.
     """
     homs = enumerate_coalg_to_alg(b, a, cap)
     nodes = NodeTable()
     classes = mu_enumerate(b, max_rank, cap, nodes)
-    checks = []
 
-    def record(name, passed, witness=None):
-        entry = {"name": name, "passed": bool(passed)}
-        if witness is not None:
-            entry["witness"] = witness
-        checks.append(entry)
-
-    record("hom-enumeration", True, {"count": len(homs)})
-
-    # (ii) induced folds are algebra homomorphisms on the enumerated classes.
+    # (i) induced folds are algebra homomorphisms on the enumerated classes.
     # sigma(e_1..e_m) pads its arguments to their highest rank R and wraps
     # them in sigma, so its fold is a(sigma, folds of the padded arguments).
     # Classes come in rank order: layer R pads every class of rank <= R to
@@ -561,11 +545,11 @@ def adjunction_check(
         layers[e.rank].append(e.node)
     ranks = [e.rank for e in classes]
     folds = []  # per hom: the fold of each class
-    alg_ok, alg_witness = True, None
+    alg_witness = None
     for hom in homs:
         cache: dict = {}  # node -> its fold through this hom
         at = [[nodes.fold(n, hom, a.apply, cache) for n in layer] for layer in layers]
-        values = [at[r][i] for i, r in enumerate(ranks)]
+        values = tuple([at[r][i] for i, r in enumerate(ranks)])
         folds.append(values)
         # both sides look sigma up over a tuple of folds, so an application
         # can only fail if some argument folds differently once padded
@@ -576,32 +560,34 @@ def adjunction_check(
                 padded = at[ranks[max(combo)]] if combo else ()
                 lhs = a.apply(symbol, tuple(padded[i] for i in combo))
                 if lhs != a.apply(symbol, tuple(values[i] for i in combo)):
-                    alg_ok = False
                     alg_witness = {
                         "hom": hom.as_dict(),
                         "symbol": symbol,
                         "args": [term_to_str(classes[i].representative) for i in combo],
                     }
-    record("algebra-side-homomorphism", alg_ok, alg_witness)
 
-    # (iii) induced streams satisfy the coalgebra square, depth-bounded; the
+    # (ii) induced streams satisfy the coalgebra square, depth-bounded; the
     # components are grafted by construction, so the pivot square decides
-    coalg_ok, coalg_witness = True, None
+    coalg_witness = None
     for hom in homs:
         for x in b.carrier:
             if not induced_coalg_hom(hom, x).check_compatible(depth):
-                coalg_ok = False
                 coalg_witness = {"hom": hom.as_dict(), "generator": x}
-    record("coalgebra-side-homomorphism", coalg_ok, coalg_witness)
 
-    # (iv) both inductions are injective: generator images separate homs
-    images = [tuple(h(x) for x in b.carrier) for h in homs]
-    record("injectivity", len(set(images)) == len(images))
+    # (iii) the induction is injective: no two homs fold every class alike.
+    # Comparing generator images instead would compare the homs themselves,
+    # which the enumeration keeps distinct
+    twins, first = None, {}
+    for j, values in enumerate(folds):
+        i = first.setdefault(values, j)
+        if i != j:
+            twins = [homs[i].as_dict(), homs[j].as_dict()]
+            break
 
-    # (v) uniqueness: class values are forced by the generator restriction;
+    # (iv) uniqueness: class values are forced by the generator restriction;
     # a class is a generator or a symbol over the classes of its children,
     # which have lower ranks and so come first
-    uniq_ok, uniq_witness = True, None
+    uniq_witness = None
     for hom, values in zip(homs, folds):
         forced = []
         for e, value in zip(classes, values):
@@ -611,73 +597,26 @@ def adjunction_check(
             else:
                 forced.append(a.apply(tree[1], tuple(forced[j] for j in e.below)))
             if forced[-1] != value:
-                uniq_ok = False
                 uniq_witness = {
                     "hom": hom.as_dict(),
                     "class": term_to_str(e.representative),
                 }
-    record("uniqueness", uniq_ok, uniq_witness)
 
     return {
         "hom_count": len(homs),
         "class_count": len(classes),
         "depth": depth,
         "max_rank": max_rank,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        **verdict(
+            {
+                "algebra-side-homomorphism": alg_witness,
+                "coalgebra-side-homomorphism": coalg_witness,
+                "injectivity": twins,
+                "uniqueness": uniq_witness,
+            }
+        ),
         "note": "uniqueness verified up to the stated rank/depth bounds",
     }
-
-
-def naturality_check(
-    b: Coalgebra,
-    b2: Coalgebra,
-    a: Algebra,
-    a2: Algebra,
-    g_coalg: Mapping,
-    g_alg: Mapping,
-    depth: int = 5,
-    max_rank: int = 5,
-    cap: int = DEFAULT_TERM_CAP,
-) -> dict:
-    """Transport along a coalgebra hom g_coalg : b2 -> b and an algebra hom
-    g_alg : a -> a2, then check it agrees with inducing on either side."""
-    if not check_coalg_hom(b2, b, g_coalg):
-        raise FixcatError("g_coalg is not a coalgebra homomorphism")
-    if not check_alg_hom(a, a2, g_alg):
-        raise FixcatError("g_alg is not an algebra homomorphism")
-    gmap, hmap = dict(g_coalg), dict(g_alg)
-    checks = []
-    classes2 = mu_enumerate(b2, max_rank, cap)
-    for hom in enumerate_coalg_to_alg(b, a, cap):
-        transported = {q: hmap[hom(gmap[q])] for q in b2.carrier}
-        hom2 = CoalgToAlgHom(
-            b2, a2, tuple(sorted(transported.items(), key=lambda p: str(p[0])))
-        )
-        alg_side = all(
-            induced_alg_hom(hom2, e)
-            == hmap[
-                induced_alg_hom(
-                    hom, MuElement(b, map_leaves(e.representative, gmap))
-                )
-            ]
-            for e in classes2
-        )
-        coalg_side = all(
-            induced_coalg_hom(hom2, q).component(k)
-            == map_leaves(induced_coalg_hom(hom, gmap[q]).component(k), hmap)
-            for q in b2.carrier
-            for k in range(depth + 1)
-        )
-        checks.append(
-            {
-                "hom": hom.as_dict(),
-                "algebra_side": alg_side,
-                "coalgebra_side": coalg_side,
-                "passed": alg_side and coalg_side,
-            }
-        )
-    return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
 def is_wellfounded(b: Coalgebra) -> bool:

@@ -219,32 +219,31 @@ def classify_points(f: MonotoneMap) -> FixpointReport:
     return FixpointReport(pre, post, fixed)
 
 
-def mu_lattice(f: MonotoneMap, x):
-    """Least fixpoint above a pre-fixed x, by ascending iteration."""
-    lat = f.lattice
-    if not lat.le(x, f(x)):
-        raise NotPreFixed(f"{x!r} is not pre-fixed")
+def _iterate_lattice(f: MonotoneMap, x, kind: str):
+    """The first point of the Kleene chain x, f(x), f(f(x)), ... that f
+    fixes; x is `kind` ("pre-fixed" or "post-fixed"), so the chain is
+    monotone and reaches it within as many steps as there are elements."""
     current = x
-    for _ in range(len(lat.elements) + 1):
+    for _ in range(len(f.lattice.elements) + 1):
         nxt = f(current)
         if nxt == current:
             return current
         current = nxt
-    raise AssertionError("monotone iteration from a pre-fixed point cannot cycle")
+    raise AssertionError(f"monotone iteration from a {kind} point cannot cycle")
+
+
+def mu_lattice(f: MonotoneMap, x):
+    """Least fixpoint above a pre-fixed x, by ascending iteration."""
+    if not f.lattice.le(x, f(x)):
+        raise NotPreFixed(f"{x!r} is not pre-fixed")
+    return _iterate_lattice(f, x, "pre-fixed")
 
 
 def nu_lattice(f: MonotoneMap, y):
     """Greatest fixpoint below a post-fixed y, by descending iteration."""
-    lat = f.lattice
-    if not lat.le(f(y), y):
+    if not f.lattice.le(f(y), y):
         raise NotPostFixed(f"{y!r} is not post-fixed")
-    current = y
-    for _ in range(len(lat.elements) + 1):
-        nxt = f(current)
-        if nxt == current:
-            return current
-        current = nxt
-    raise AssertionError("monotone iteration from a post-fixed point cannot cycle")
+    return _iterate_lattice(f, y, "post-fixed")
 
 
 def galois_check(f: MonotoneMap) -> FixpointReport:

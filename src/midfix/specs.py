@@ -253,13 +253,18 @@ def parse_functor(obj: dict) -> dagger.RelEndo:
             where = f"functor.objects[{i}]"
             source = _distinct(_require(entry, "object", where), f"{where}.object")
             image = _distinct(_require(entry, "image", where), f"{where}.image")
-            object_table[dagger._sorted_obj(source)] = dagger._sorted_obj(image)
+            source = dagger._sorted_obj(source)
+            if source in object_table:
+                raise ParseError(where, f"a second entry for the object {list(source)!r}")
+            object_table[source] = dagger._sorted_obj(image)
         rel_table = {}
         for i, entry in enumerate(
             _list(_require(obj, "relations", "functor"), "functor.relations")
         ):
             where = f"functor.relations[{i}]"
             rel = parse_relation(entry)
+            if rel in rel_table:
+                raise ParseError(where, f"a second entry for {relation_to_json(rel)}")
             rel_table[rel] = parse_relation(_require(entry, "image", where))
         return dagger.table_endofunctor(object_table, rel_table)
     raise ParseError("functor.kind", f"unknown kind {kind!r}")

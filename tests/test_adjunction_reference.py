@@ -11,6 +11,10 @@ after the homs were enumerated, so that the checks fail.
 `_graft` is the library helper the reference's coalgebra side grafts with,
 copied here verbatim: the library no longer grafts, since component k + 1
 is built as that graft.
+
+The reference also reports `hom-enumeration`, a check that cannot fail and
+that the library no longer makes; the comparisons drop it from the
+reference's report.
 """
 
 import gc
@@ -205,6 +209,15 @@ def _report(check, b, a, depth, max_rank, cap=DEFAULT_TERM_CAP):
         return ("CapExceeded", exc.level, exc.count)
 
 
+def _without_hom_enumeration(report):
+    """The reference's report less its `hom-enumeration` entry; a CapExceeded
+    tuple is returned as it is."""
+    if isinstance(report, dict):
+        checks = [c for c in report["checks"] if c["name"] != "hom-enumeration"]
+        report = dict(report, checks=checks)
+    return report
+
+
 def _break_after_enumeration(monkeypatch, key, value):
     """Set a.table[key] = value once the homs into a have been enumerated,
     so that they are no longer homs and the law checks can fail."""
@@ -227,9 +240,9 @@ def _copy(a: Algebra) -> Algebra:
 @given(seed=st.integers(0, 2**32 - 1), max_rank=st.integers(0, 3), depth=st.integers(0, 3))
 def test_reports_equal_the_reference(seed, max_rank, depth):
     b, a = fixcat.random_instance(random.Random(seed), max_rank, depth, budget=60)
-    assert _report(fixcat.adjunction_check, b, a, depth, max_rank) == _report(
-        adjunction_check, b, a, depth, max_rank
-    )
+    library = _report(fixcat.adjunction_check, b, a, depth, max_rank)
+    reference = _report(adjunction_check, b, a, depth, max_rank)
+    assert library == _without_hom_enumeration(reference)
 
 
 @settings(max_examples=150, deadline=None)
@@ -249,7 +262,7 @@ def test_reports_with_a_broken_law_equal_the_reference(seed, max_rank, depth, en
         with pytest.MonkeyPatch.context() as monkeypatch:
             _break_after_enumeration(monkeypatch, key, value)
             reports.append(_report(check, b, _copy(a), depth, max_rank))
-    assert reports[0] == reports[1]
+    assert reports[0] == _without_hom_enumeration(reports[1])
 
 
 def _sample(name: str) -> dict:
@@ -273,7 +286,7 @@ def test_broken_law_fails_each_law_check_with_the_reference_witnesses():
         "uniqueness",
     }
     assert all(failed.values())
-    assert reports[0] == reports[1]
+    assert reports[0] == _without_hom_enumeration(reports[1])
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,17 @@
 import itertools
 import random
+from typing import Mapping
 
 import pytest
 
 from midfix.fixcat import (
+    Algebra,
     ArityMismatch,
+    Coalgebra,
+    CoalgToAlgHom,
     FixcatError,
+    MuElement,
+    _flat,
     adjunction_check,
     algebra,
     coalgebra,
@@ -21,7 +27,6 @@ from midfix.fixcat import (
     mu_element,
     mu_enumerate,
     mu_eq,
-    naturality_check,
     nu_approx,
     one_element_algebra,
     random_algebra,
@@ -31,7 +36,17 @@ from midfix.fixcat import (
     terminal_coalgebra_approx,
     wellfounded_recursive_check,
 )
-from midfix.signature import Term, count_rank, enumerate_rank, signature, term_to_str, unfold
+from midfix.signature import (
+    DEFAULT_TERM_CAP,
+    Term,
+    count_rank,
+    enumerate_rank,
+    f_enumerate,
+    map_leaves,
+    signature,
+    term_to_str,
+    unfold,
+)
 
 
 def rank1(sig, symbol, *args):
@@ -55,6 +70,23 @@ class TestCollapseBottom:
             one = collapse_bottom(collapse_bottom(t, parity_algebra), parity_algebra)
             # composing two single-layer collapses equals collapsing twice
             assert one.rank == 1
+
+
+class TestCarriers:
+    # a carrier listing p twice used to be accepted, and its two copies
+    # enumerated as two equal homs, which failed injectivity
+    def test_coalgebra_rejects_a_repeated_element(self, nat_sig):
+        with pytest.raises(FixcatError, match="carrier lists 'p' twice"):
+            coalgebra(nat_sig, ["p", "p"], {"p": rank1(nat_sig, "z")})
+
+    def test_algebra_rejects_a_repeated_element(self, nat_sig):
+        structure = {
+            rank1(nat_sig, "z"): "0",
+            rank1(nat_sig, "s", "0"): "1",
+            rank1(nat_sig, "s", "1"): "0",
+        }
+        with pytest.raises(FixcatError, match="carrier lists '0' twice"):
+            algebra(nat_sig, ["0", "0", "1"], structure)
 
 
 class TestHomEnumeration:
@@ -389,6 +421,78 @@ class TestAdjunction:
             report = adjunction_check(b, a, depth=4, max_rank=4)
             assert report["passed"], report
             assert report["hom_count"] == len(enumerate_coalg_to_alg(b, a))
+
+
+# Naturality of the correspondence in both arguments.  The CLI reports no
+# such check, so these helpers live next to their tests.
+
+
+def check_coalg_hom(src: Coalgebra, tgt: Coalgebra, g: Mapping) -> bool:
+    """g : src -> tgt is a coalgebra homomorphism: tgt(g(x)) = F(g)(src(x))."""
+    gmap = dict(g)
+    return all(
+        tgt.rule(gmap[x]) == map_leaves(src.rule(x), gmap) for x in src.carrier
+    )
+
+
+def check_alg_hom(src: Algebra, tgt: Algebra, h: Mapping) -> bool:
+    """h : src -> tgt is an algebra homomorphism: h(src(t)) = tgt(F(h)(t))."""
+    hmap = dict(h)
+    return all(
+        hmap[src.table[(symbol, values)]] == tgt.table[(symbol, tuple(hmap[v] for v in values))]
+        for symbol, values in map(_flat, f_enumerate(src.sig, src.carrier))
+    )
+
+
+def naturality_check(
+    b: Coalgebra,
+    b2: Coalgebra,
+    a: Algebra,
+    a2: Algebra,
+    g_coalg: Mapping,
+    g_alg: Mapping,
+    depth: int = 5,
+    max_rank: int = 5,
+    cap: int = DEFAULT_TERM_CAP,
+) -> dict:
+    """Transport along a coalgebra hom g_coalg : b2 -> b and an algebra hom
+    g_alg : a -> a2, then check it agrees with inducing on either side."""
+    if not check_coalg_hom(b2, b, g_coalg):
+        raise FixcatError("g_coalg is not a coalgebra homomorphism")
+    if not check_alg_hom(a, a2, g_alg):
+        raise FixcatError("g_alg is not an algebra homomorphism")
+    gmap, hmap = dict(g_coalg), dict(g_alg)
+    checks = []
+    classes2 = mu_enumerate(b2, max_rank, cap)
+    for hom in enumerate_coalg_to_alg(b, a, cap):
+        transported = {q: hmap[hom(gmap[q])] for q in b2.carrier}
+        hom2 = CoalgToAlgHom(
+            b2, a2, tuple(sorted(transported.items(), key=lambda p: str(p[0])))
+        )
+        alg_side = all(
+            induced_alg_hom(hom2, e)
+            == hmap[
+                induced_alg_hom(
+                    hom, MuElement(b, map_leaves(e.representative, gmap))
+                )
+            ]
+            for e in classes2
+        )
+        coalg_side = all(
+            induced_coalg_hom(hom2, q).component(k)
+            == map_leaves(induced_coalg_hom(hom, gmap[q]).component(k), hmap)
+            for q in b2.carrier
+            for k in range(depth + 1)
+        )
+        checks.append(
+            {
+                "hom": hom.as_dict(),
+                "algebra_side": alg_side,
+                "coalgebra_side": coalg_side,
+                "passed": alg_side and coalg_side,
+            }
+        )
+    return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
 class TestNaturality:

@@ -448,6 +448,62 @@ class TestExitCodes:
                 },
                 "ParseError: functor.objects[0].object: ",
             ),
+            # a table functor with two entries for one object or one relation,
+            # which would silently keep the second
+            (
+                "rel-coincidence",
+                {
+                    "functor": {
+                        "kind": "table",
+                        "objects": [
+                            {"object": ["x0"], "image": ["x0"]},
+                            {"object": ["x0"], "image": []},
+                        ],
+                        "relations": [],
+                    },
+                    "coalgebra": {"source": ["x0"], "target": ["x0"], "pairs": []},
+                },
+                "ParseError: functor.objects[1]: ",
+            ),
+            (
+                "rel-coincidence",
+                {
+                    "functor": {
+                        "kind": "table",
+                        "objects": [{"object": ["x0"], "image": ["x0"]}],
+                        "relations": [
+                            {
+                                "source": ["x0"],
+                                "target": ["x0"],
+                                "pairs": [],
+                                "image": {
+                                    "source": ["x0"],
+                                    "target": ["x0"],
+                                    "pairs": [["x0", "x0"]],
+                                },
+                            },
+                            {
+                                "source": ["x0"],
+                                "target": ["x0"],
+                                "pairs": [["x0", "x0"]],
+                                "image": {
+                                    "source": ["x0"],
+                                    "target": ["x0"],
+                                    "pairs": [["x0", "x0"]],
+                                },
+                            },
+                            {
+                                "source": ["x0"],
+                                "target": ["x0"],
+                                "pairs": [],
+                                "image": {"source": ["x0"], "target": ["x0"], "pairs": []},
+                            },
+                        ],
+                    },
+                    "coalgebra": {"source": ["x0"], "target": ["x0"], "pairs": []},
+                },
+                "ParseError: functor.relations[2]: ",
+            ),
         ],
     )
     def test_malformed_spec_exits_two(self, tmp_path, command, spec, error):
@@ -471,7 +527,27 @@ class TestExitCodes:
         code = cli.main(["lattice-fixpoints", str(SPECS / "chain_lattice.json")])
         report = json.loads(capsys.readouterr().out)
         assert code == 1 and report["passed"] is False
-        assert report["checks"] == [{"name": "fixed-is-intersection", "passed": False}]
+        # the witness is the list of points f fixes, which the report's
+        # "fixed" should have been
+        assert report["fixed"] == ["0", "2"]
+        assert report["checks"] == [
+            {
+                "name": "fixed-is-intersection",
+                "passed": False,
+                "witness": {"fixed_points": ["0", "2", "4"]},
+            }
+        ]
+
+    def test_memory_error_exits_two(self, monkeypatch, capsys):
+        # a real memory limit is too slow and too host-dependent for this suite
+        def exhausted(*args):
+            raise MemoryError("no room for level 300")
+
+        monkeypatch.setattr(cli.fixcat, "nu_approx", exhausted)
+        code = cli.main(["nu", str(SPECS / "parity_algebra.json")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: MemoryError: no room for level 300\n"
 
     def test_check_failure_exits_one(self, tmp_path):
         # a non-functorial table makes the coincidence law checks fail
