@@ -149,7 +149,7 @@ def cmd_nu(args) -> tuple[dict, Callable[[], str]]:
         "command": "nu",
         "depth": args.depth,
         "level_sizes": approx.level_sizes(),
-        **verdict({}),  # each projection is built from the tuples of its level
+        **verdict({}),  # the levels are enumerated; a cap overrun exits 2 instead
     }
     return out, lambda: emit_chain_dot(approx.level_sizes(), "a")
 

@@ -1,9 +1,10 @@
 """The coalgebra-algebra adjunction for a polynomial functor on finite sets.
 
 For a coalgebra b : B -> F(B) the left side mu(b) is the colimit of the
-chain B -> F(B) -> F^2(B) -> ...; its points are (rank, term) pairs with
-two points equal when unfolding to a common rank makes them agree up to
-the generator identification computed by `colim_eq`.  For an algebra
+chain B -> F(B) -> F^2(B) -> ...; two of its points (rank, term) are equal
+when unfolding to a common rank makes them agree up to the generator
+identification ~ of `colim_eq`, so mu(b) is also the colimit for the
+quotient b/~, which `mu_enumerate` enumerates.  For an algebra
 a : F(A) -> A the right side nu(a) is the limit of A <- F(A) <- ...;
 it is never materialized, only depth-bounded stages (`nu_approx`) and
 lazily evaluated points (`NuPointStream`) are exposed.
@@ -15,7 +16,6 @@ an algebra morphism out of mu(b) and a coalgebra morphism into nu(a), and
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -67,6 +67,8 @@ class Coalgebra:
             if x not in rules:
                 raise FixcatError(f"structure not total: missing {x!r}")
         for x, t in self.structure:
+            if x not in self.carrier:
+                raise FixcatError(f"structure names {x!r} outside the carrier")
             if t.rank != 1 or t.sig != self.sig:
                 raise FixcatError(f"structure at {x!r} is not a rank-1 term")
             for leaf in t.leaves():
@@ -98,15 +100,17 @@ class Algebra:
 
     def __post_init__(self):
         _distinct(self.carrier)
-        table = {}
+        table, carrier = {}, set(self.carrier)
         for t, value in self.structure:
             if t.rank != 1 or t.sig != self.sig:
                 raise FixcatError(f"structure entry {term_to_str(t)} is not a rank-1 term")
-            table[_flat(t)] = value
-        # total iff every element of F(A) is a key: count the keys over A,
-        # and only search F(A) (lazily, it may be huge) when one is missing
-        inside = sum(all(x in self.carrier for x in leaves) for _, leaves in table)
-        if inside < count_rank(self.sig, len(self.carrier), 1):
+            key = _flat(t)
+            if not carrier.issuperset(key[1]):
+                raise FixcatError(f"structure entry {term_to_str(t)} leaves the carrier")
+            table[key] = value
+        # total iff every element of F(A) is a key: count the keys, and only
+        # search F(A) (lazily, it may be huge) when one is missing
+        if len(table) < count_rank(self.sig, len(self.carrier), 1):
             missing = next(t for t in f_terms(self.sig, self.carrier) if _flat(t) not in table)
             raise FixcatError(f"structure not total: missing {term_to_str(missing)}")
         for t, value in self.structure:
@@ -167,22 +171,6 @@ class CoalgToAlgHom:
     def as_dict(self) -> dict:
         return dict(self.mapping)
 
-    @functools.cached_property
-    def _cone(self) -> list:
-        return [{x: ("var", self._map[x]) for x in self.source.carrier}]
-
-    def stage(self, k: int) -> dict:
-        """Stage k of the cone into nu(a): generator y -> the tree of the
-        rank-k component of y's stream.  Stage 0 is f and stage k + 1 is
-        F(stage k) . b, so stage-(k+1) trees hold stage-k trees as children;
-        stages are built on first use and kept."""
-        cone = self._cone
-        while len(cone) <= k:
-            cone.append(
-                next_stage(self.source, cone[-1], lambda symbol, kids: ("op", symbol, kids))
-            )
-        return cone[k]
-
 
 def next_stage(b: Coalgebra, stage: Mapping, node: Callable) -> dict:
     """F(stage) . b: each generator y to node(symbol, children), where
@@ -225,19 +213,22 @@ class ColimEq:
     """Least generator identification: x ~ y once their unfoldings agree.
 
     Points of mu(b) get a canonical form from it: `key(t, rank)` relabels
-    each leaf of t to the first member of its class in carrier order and
-    unfolds the result up to `rank`.  Two terms are colimit-equal iff their
-    keys at any common rank >= both ranks are equal.
+    each leaf of t to its class label, the first member of the class in
+    `sorted(carrier, key=str)` order, and unfolds the result up to `rank`.
+    Two terms are colimit-equal iff their keys at any common rank >= both
+    ranks are equal.  `_rules` relabelled to the class labels is the
+    quotient coalgebra b/~, over which a term is its own key.
     """
 
     coalgebra: Coalgebra
     rel: frozenset  # symmetric reflexive transitive pairs on the carrier
-    _leaf: dict = field(init=False, repr=False, compare=False)  # x -> ("var", first of class)
+    _leaf: dict = field(init=False, repr=False, compare=False)  # x -> ("var", its label)
     _rules: dict = field(init=False, repr=False, compare=False)  # x -> relabelled b(x)
 
     def __post_init__(self):
         carrier = self.coalgebra.carrier
-        leaf = {x: ("var", next(y for y in carrier if (x, y) in self.rel)) for x in carrier}
+        ordered = sorted(carrier, key=str)
+        leaf = {x: ("var", next(y for y in ordered if (x, y) in self.rel)) for x in carrier}
         # members of one class unfold to the same relabelled tree, so
         # unfolding a key through any member is well defined
         rules = {x: subst(self.coalgebra.rule(x).tree, leaf.__getitem__) for x in carrier}
@@ -318,57 +309,59 @@ def mu_enumerate(
     """Minimal-rank canonical representatives of all colimit classes that have
     a representative of rank <= max_rank, in deterministic order.
 
-    Rank r is stage r in `enumerate_rank` order: a symbol over stage-(r-1)
-    terms, whose node and key `ColimEq.key(t, r)` (as a node) are built
-    from theirs.  Terms are visited in `sort_key` order, sorting by symbol
+    mu(b) is the colimit of the quotient b/~ (`ColimEq._rules`), and the
+    minimal representative of a class is a term over the class labels,
+    which is its own key.  So stage 0 holds the labels and rank r is stage
+    r over them in `enumerate_rank` order: a symbol over stage-(r-1) terms,
+    one node each.  Terms are visited in `sort_key` order, sorting by symbol
     and the children's places in the order of the rank below (tied children
-    share a place).  The keys of the classes found at lower ranks are
-    carried one unfolding up per rank, each node unfolded once, so dedup is
-    an int lookup.  Nodes go into `nodes` (a fresh table unless given), and
-    every class records its node and its children's classes.
+    share a place).  The classes found at lower ranks are carried one
+    unfolding up per rank, each node unfolded once, so dedup is an int
+    lookup.  Nodes go into `nodes` (a fresh table unless given), and every
+    class records its node and its children's classes.  The cap counts the
+    terms of F^r(B), as an enumeration over all of B would meet them.
     """
     nodes = NodeTable() if nodes is None else nodes
     eq = colim_eq(b)
-    rules = {x: nodes.intern(tree) for x, tree in eq._rules.items()}  # relabelled b
+    gens = [x for x in sorted(b.carrier, key=str) if eq._leaf[x] == ("var", x)]
+    rules = {x: nodes.intern(eq._rules[x]) for x in gens}  # b/~
     unfolded: dict = {}
-    gens = sorted(b.carrier, key=str)
     classes: list[MuElement] = []
-    frontier: dict = {}  # key node -> class index
-    stage: list = []  # (sort key, node, key node) per term of the rank
+    frontier: dict = {}  # node of a class, unfolded to the rank -> class index
+    stage: list = []  # (sort key, node) per term of the rank
     below: dict = {}  # node of a term of the rank below -> (its place, its class index)
     seen = 0
     for rank in range(max_rank + 1):
-        count = count_rank(b.sig, len(gens), rank)
+        count = count_rank(b.sig, len(b.carrier), rank)
         if count > cap:
             raise CapExceeded(rank, count, cap)
         seen += count
         if seen > cap:
             raise CapExceeded(rank, seen, cap)
         if rank == 0:
-            stage = [(str(x), nodes.node(("var", x)), nodes.node(eq._leaf[x])) for x in gens]
+            stage = [(str(x), nodes.node(("var", x))) for x in gens]
         else:
             frontier = {nodes.subst(k, rules.__getitem__, unfolded): i for k, i in frontier.items()}
             stage = [
                 (
-                    (symbol, tuple([below[child[1]][0] for child in combo])),
-                    nodes.op(symbol, tuple([child[1] for child in combo])),
-                    nodes.op(symbol, tuple([child[2] for child in combo])),
+                    (symbol, tuple([below[child][0] for _, child in combo])),
+                    nodes.op(symbol, tuple([child for _, child in combo])),
                 )
                 for symbol, arity in b.sig.sorted_ops()
                 for combo in itertools.product(stage, repeat=arity)
             ]
         ordered = sorted(stage, key=lambda entry: entry[0])
-        for _, node, key in ordered:
-            if key not in frontier:
-                frontier[key] = len(classes)
+        for _, node in ordered:
+            if node not in frontier:
+                frontier[node] = len(classes)
                 kids = nodes.keys[node][2] if rank else ()
                 term = Term.derived(b.sig, rank, nodes.tree(node))
                 classes.append(MuElement(b, term, node, tuple([below[k][1] for k in kids])))
         below, place, last = {}, -1, None
-        for sort_key, node, key in ordered:
+        for sort_key, node in ordered:
             if sort_key != last:
                 place, last = place + 1, sort_key
-            below[node] = (place, frontier[key])
+            below[node] = (place, frontier[node])
     return classes
 
 
@@ -421,39 +414,21 @@ def collapse_bottom(t: Term, a: Algebra) -> Term:
 
 @dataclass
 class NuApprox:
-    """Stages F^k(A) for k <= depth with the collapse projections between them."""
+    """Stages F^k(A) for k <= depth; `collapse_bottom` projects each stage
+    onto the one below."""
 
     algebra: Algebra
     depth: int
     levels: list[list[Term]]
-    projections: list[dict]  # projections[k] maps rank-(k+1) terms to rank-k terms
 
     def level_sizes(self) -> list[int]:
         return [len(level) for level in self.levels]
 
 
 def nu_approx(a: Algebra, depth: int, cap: int = DEFAULT_TERM_CAP) -> NuApprox:
-    """Levels F^k(A) for k <= depth, from `enumerate_rank`, and the projections
-    that `collapse_bottom` defines.  Level k + 1 lists each symbol over the
-    tuples of level k in a fixed order, so walking the same tuples of level-k
-    projections builds each projection from its children's:
-    sigma(p(t_1)..p(t_m)), and a(sigma, x_1..x_m) at level 1."""
-    levels = [enumerate_rank(a.sig, a.carrier, 0, cap)]
-    below = [t.tree[1] for t in levels[0]]  # projections of the level below; labels at 0
-    projections = []
-    for k in range(depth):
-        level = enumerate_rank(a.sig, a.carrier, k + 1, cap)
-        projected = [
-            ("var", a.table[(symbol, combo)]) if k == 0 else ("op", symbol, combo)
-            for symbol, arity in a.sig.sorted_ops()
-            for combo in itertools.product(below, repeat=arity)
-        ]
-        levels.append(level)
-        projections.append(
-            {t: Term.derived(a.sig, k, tree) for t, tree in zip(level, projected)}
-        )
-        below = projected
-    return NuApprox(a, depth, levels, projections)
+    """Levels F^k(A) for k <= depth, each from `enumerate_rank`."""
+    levels = [enumerate_rank(a.sig, a.carrier, k, cap) for k in range(depth + 1)]
+    return NuApprox(a, depth, levels)
 
 
 @dataclass
@@ -465,7 +440,12 @@ class NuPointStream:
     generator: object
 
     def component(self, k: int) -> Term:
-        return Term.derived(self.hom.source.sig, k, self.hom.stage(k)[self.generator])
+        """Stage k of the cone at the generator: stage 0 is f and stage j + 1
+        is F(stage j) . b, so stage-(j+1) trees hold stage-j trees."""
+        stage = {x: ("var", v) for x, v in self.hom._map.items()}
+        for _ in range(k):
+            stage = next_stage(self.hom.source, stage, lambda symbol, kids: ("op", symbol, kids))
+        return Term.derived(self.hom.source.sig, k, stage[self.generator])
 
     def check_compatible(self, depth: int) -> bool:
         """Each component collapses onto the previous one, up to depth.
@@ -591,11 +571,11 @@ def adjunction_check(
     for hom, values in zip(homs, folds):
         forced = []
         for e, value in zip(classes, values):
-            tree = e.representative.tree
-            if tree[0] == "var":
-                forced.append(hom(tree[1]))
+            key = nodes.keys[e.node]
+            if key[0] == "var":
+                forced.append(hom(key[1]))
             else:
-                forced.append(a.apply(tree[1], tuple(forced[j] for j in e.below)))
+                forced.append(a.apply(key[1], tuple(forced[j] for j in e.below)))
             if forced[-1] != value:
                 uniq_witness = {
                     "hom": hom.as_dict(),

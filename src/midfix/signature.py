@@ -17,9 +17,9 @@ from checked terms are built by `Term.derived` and not checked again.
 
 A computation that meets the same subtrees many times (enumerating mu(b),
 the adjunction check, rendering its classes) puts them in a `NodeTable`:
-each distinct node gets an int id, so node keys hash in O(1) and a fold
-through `NodeTable.fold` visits each node once.  A table belongs to the
-computation that made it and dies with it.
+each distinct node gets an int id that stands for its whole term, so terms
+compare and hash in O(1) and `NodeTable.fold` visits each node once.  A
+table belongs to the computation that made it and dies with it.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ leaf classes; both must compute the same least relation.
 mu(b) equality, also verbatim except that `mu_enumerate` collects (rank,
 term) pairs instead of `MuElement`s: unfold both terms to a common rank and
 match them leaf by leaf, or relabel leaves by the least member of their
-class.  The library now decides all of it through `ColimEq.key`.
+class.  The library now decides all of it through `ColimEq.key`, and
+enumerates mu(b) over the quotient b/~ only; the last tests draw
+coalgebras whose quotient is forced to be smaller than the coalgebra.
 """
 
 import itertools
@@ -23,10 +25,12 @@ from midfix.fixcat import Coalgebra, ColimEq, coalgebra
 from midfix.signature import (
     DEFAULT_TERM_CAP,
     CapExceeded,
+    NodeTable,
     Term,
     enumerate_rank,
     map_leaves,
     signature,
+    term_to_str,
     unfold,
 )
 
@@ -241,3 +245,62 @@ def test_mu_enumerate_orders_tied_sort_keys_like_the_seed(b):
         return
     classes = fixcat.mu_enumerate(b, 2, cap=2000)
     assert [(e.rank, e.representative) for e in classes] == expected
+
+
+@st.composite
+def quotiented_coalgebras(draw):
+    """A coalgebra of `small_coalgebras` plus 1-4 copies of its generators.
+    A copy of x has b(x)'s symbol over b(x)'s leaves, each leaf possibly
+    replaced by an earlier copy of it, so every copy is identified with its
+    original and the quotient b/~ is smaller than b.  Copies are named to
+    sort before or after the generators ("a..." or "y..."), so that either
+    can be the label of a class."""
+    b = draw(small_coalgebras())
+    structure, copies = dict(b.rules()), {x: [x] for x in b.carrier}
+    for n in range(draw(st.integers(1, 4))):
+        x = draw(st.sampled_from(b.carrier))
+        _, symbol, children = b.rule(x).tree
+        leaves = tuple(("var", draw(st.sampled_from(copies[y]))) for _, y in children)
+        name = f"{draw(st.sampled_from('ay'))}{n}"
+        structure[name] = Term(b.sig, 1, ("op", symbol, leaves))
+        copies[x].append(name)
+    return coalgebra(b.sig, list(structure), structure)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotiented_coalgebras(), st.integers(0, 3))
+def test_mu_enumerate_over_the_quotient_matches_seed(b, max_rank):
+    assert len(set(fixcat.colim_eq(b)._leaf.values())) < len(b.carrier)
+    try:
+        expected = mu_enumerate(b, max_rank, cap=2000)
+    except CapExceeded as exc:
+        with pytest.raises(CapExceeded) as raised:
+            fixcat.mu_enumerate(b, max_rank, cap=2000)
+        assert (raised.value.level, raised.value.count) == (exc.level, exc.count)
+        return
+    classes = fixcat.mu_enumerate(b, max_rank, cap=2000)
+    assert [(e.rank, e.representative) for e in classes] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(quotiented_coalgebras(), st.integers(0, 3))
+def test_mu_enumerate_builds_nodes_over_class_labels_only(b, max_rank):
+    nodes = NodeTable()
+    try:
+        fixcat.mu_enumerate(b, max_rank, cap=2000, nodes=nodes)
+    except CapExceeded:
+        return
+    labels = set(fixcat.colim_eq(b)._leaf.values())
+    assert {key for key in nodes.keys if key[0] == "var"} <= labels
+
+
+def test_class_labels_follow_str_order_not_carrier_order():
+    # p and q unfold alike; the seed sorts generators by str, so p, the
+    # first of the class in that order, represents it, not q, the first
+    # in this carrier's order
+    sig = signature([("z", 0), ("s", 1)])
+    z = Term(sig, 1, ("op", "z", ()))
+    b = Coalgebra(sig, ("q", "p"), (("p", z), ("q", z)))
+    classes = fixcat.mu_enumerate(b, 1)
+    assert [(e.rank, e.representative) for e in classes] == mu_enumerate(b, 1)
+    assert [term_to_str(e.representative) for e in classes] == ["p", "s(p)"]

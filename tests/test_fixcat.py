@@ -88,6 +88,23 @@ class TestCarriers:
         with pytest.raises(FixcatError, match="carrier lists '0' twice"):
             algebra(nat_sig, ["0", "0", "1"], structure)
 
+    # a rule or an entry outside the carrier used to be accepted silently,
+    # and `specs` could not read the emitted spec back
+    def test_coalgebra_rejects_a_rule_outside_the_carrier(self, nat_sig):
+        structure = {"p": rank1(nat_sig, "s", "p"), "q": rank1(nat_sig, "s", "p")}
+        with pytest.raises(FixcatError, match="structure names 'q' outside the carrier"):
+            coalgebra(nat_sig, ["p"], structure)
+
+    def test_algebra_rejects_an_entry_over_an_outside_argument(self, nat_sig):
+        structure = {
+            rank1(nat_sig, "z"): 0,
+            rank1(nat_sig, "s", 0): 1,
+            rank1(nat_sig, "s", 1): 0,
+            rank1(nat_sig, "s", 7): 0,
+        }
+        with pytest.raises(FixcatError, match=r"structure entry s\(7\) leaves the carrier"):
+            algebra(nat_sig, [0, 1], structure)
+
 
 class TestHomEnumeration:
     def test_loop_into_parity_has_no_solution(self, loop_coalgebra, parity_algebra):
@@ -332,13 +349,17 @@ class TestNuSide:
 
     def test_depth_zero(self, parity_algebra):
         approx = nu_approx(parity_algebra, 0)
-        assert approx.level_sizes() == [2] and approx.projections == []
+        assert approx.level_sizes() == [2]
+        assert [t.tree for t in approx.levels[0]] == [("var", "0"), ("var", "1")]
 
     def test_projection_tables_agree_with_collapse(self, parity_algebra):
+        # collapse_bottom is the projection: it maps each level onto the one
+        # below, onto every term there, since s(0) -> 1 and s(1) -> 0
         approx = nu_approx(parity_algebra, 3)
         for k in range(3):
-            for t in approx.levels[k + 1]:
-                assert approx.projections[k][t] == collapse_bottom(t, parity_algebra)
+            images = [collapse_bottom(t, parity_algebra) for t in approx.levels[k + 1]]
+            assert all(image.rank == k for image in images)
+            assert set(images) == set(approx.levels[k])
 
     def test_stream_for_diverging_generator(self, loop_coalgebra, one_algebra):
         (hom,) = enumerate_coalg_to_alg(loop_coalgebra, one_algebra)
