@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional
 
 from .checks import verdict
@@ -62,17 +63,17 @@ class Coalgebra:
 
     def __post_init__(self):
         _distinct(self.carrier)
-        rules = dict(self.structure)
+        rules, carrier = dict(self.structure), set(self.carrier)
         for x in self.carrier:
             if x not in rules:
                 raise FixcatError(f"structure not total: missing {x!r}")
         for x, t in self.structure:
-            if x not in self.carrier:
+            if x not in carrier:
                 raise FixcatError(f"structure names {x!r} outside the carrier")
             if t.rank != 1 or t.sig != self.sig:
                 raise FixcatError(f"structure at {x!r} is not a rank-1 term")
             for leaf in t.leaves():
-                if leaf not in self.carrier:
+                if leaf not in carrier:
                     raise FixcatError(f"structure at {x!r} uses unknown {leaf!r}")
         object.__setattr__(self, "_rules", rules)
 
@@ -208,7 +209,6 @@ def enumerate_coalg_to_alg(
 # -- the colimit mu(b) ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ColimEq:
     """Least generator identification: x ~ y once their unfoldings agree.
 
@@ -218,25 +218,34 @@ class ColimEq:
     Two terms are colimit-equal iff their keys at any common rank >= both
     ranks are equal.  `_rules` relabelled to the class labels is the
     quotient coalgebra b/~, over which a term is its own key.
+
+    It is made from the pairs of the relation, or from each generator's
+    class label (`colim_eq`), and then lists the pairs only when `rel` is read.
     """
 
-    coalgebra: Coalgebra
-    rel: frozenset  # symmetric reflexive transitive pairs on the carrier
-    _leaf: dict = field(init=False, repr=False, compare=False)  # x -> ("var", its label)
-    _rules: dict = field(init=False, repr=False, compare=False)  # x -> relabelled b(x)
-
-    def __post_init__(self):
-        carrier = self.coalgebra.carrier
-        ordered = sorted(carrier, key=str)
-        leaf = {x: ("var", next(y for y in ordered if (x, y) in self.rel)) for x in carrier}
+    def __init__(self, coalgebra: Coalgebra, rel: Optional[frozenset] = None,
+                 labels: Optional[Mapping] = None):
+        carrier = coalgebra.carrier
+        if labels is None:
+            ordered = sorted(carrier, key=str)
+            labels = {x: next(y for y in ordered if (x, y) in rel) for x in carrier}
+            self.rel = rel
+        self.coalgebra = coalgebra
+        self._leaf = {x: ("var", labels[x]) for x in carrier}  # x -> ("var", its label)
         # members of one class unfold to the same relabelled tree, so
         # unfolding a key through any member is well defined
-        rules = {x: subst(self.coalgebra.rule(x).tree, leaf.__getitem__) for x in carrier}
-        object.__setattr__(self, "_leaf", leaf)
-        object.__setattr__(self, "_rules", rules)
+        self._rules = {x: subst(coalgebra.rule(x).tree, self._leaf.__getitem__) for x in carrier}
+
+    @cached_property
+    def rel(self) -> frozenset:
+        """The symmetric reflexive transitive pairs on the carrier."""
+        members: dict = {}
+        for x, leaf in self._leaf.items():
+            members.setdefault(leaf, []).append(x)
+        return frozenset((x, y) for x, leaf in self._leaf.items() for y in members[leaf])
 
     def same(self, x, y) -> bool:
-        return (x, y) in self.rel
+        return self._leaf[x] == self._leaf[y]
 
     def key(self, t: Term, rank: int) -> Tree:
         """The canonical form of t at rank (>= t.rank)."""
@@ -267,26 +276,47 @@ def colim_eq(b: Coalgebra) -> ColimEq:
         if len(keys) == count:
             break
         classes, count = merged, len(keys)
-    rel = frozenset((x, y) for x in b.carrier for y in b.carrier if classes[x] == classes[y])
-    return ColimEq(b, rel)
+    first: dict = {}  # class -> its label
+    for x in sorted(b.carrier, key=str):
+        first.setdefault(classes[x], x)
+    return ColimEq(b, labels={x: first[classes[x]] for x in b.carrier})
 
 
-@dataclass(frozen=True)
 class MuElement:
     """A point of mu(b): a representative term over B, of some rank.
 
-    `mu_enumerate` also records the representative's id in its node table
-    and, in `below`, the enumeration indices of its children's classes.
+    `mu_enumerate` makes each class from its node in a `NodeTable`, with the
+    enumeration indices of its children's classes in `below`, and builds the
+    representative from the node only when it is first read.  Elements are
+    equal when their coalgebras and representatives are.
     """
 
-    coalgebra: Coalgebra
-    representative: Term
-    node: Optional[int] = field(default=None, compare=False, repr=False)
-    below: tuple = field(default=(), compare=False, repr=False)
+    __slots__ = ("coalgebra", "rank", "node", "below", "nodes", "_term")
+
+    def __init__(self, coalgebra: Coalgebra, representative: Optional[Term] = None,
+                 node: Optional[int] = None, below: tuple = (),
+                 nodes: Optional[NodeTable] = None, rank: Optional[int] = None):
+        self.coalgebra, self.node, self.below, self.nodes = coalgebra, node, below, nodes
+        self._term = representative
+        self.rank = representative.rank if representative is not None else rank
 
     @property
-    def rank(self) -> int:
-        return self.representative.rank
+    def representative(self) -> Term:
+        if self._term is None:
+            tree = self.nodes.tree(self.node)
+            self._term = Term.derived(self.coalgebra.sig, self.rank, tree)
+        return self._term
+
+    def __eq__(self, other):
+        if not isinstance(other, MuElement):
+            return NotImplemented
+        return (self.coalgebra, self.representative) == (other.coalgebra, other.representative)
+
+    def __hash__(self):
+        return hash((self.coalgebra, self.representative))
+
+    def __repr__(self):
+        return f"MuElement(rank={self.rank}, representative={term_to_str(self.representative)})"
 
 
 def mu_element(b: Coalgebra, term: Term) -> MuElement:
@@ -312,24 +342,28 @@ def mu_enumerate(
     mu(b) is the colimit of the quotient b/~ (`ColimEq._rules`), and the
     minimal representative of a class is a term over the class labels,
     which is its own key.  So stage 0 holds the labels and rank r is stage
-    r over them in `enumerate_rank` order: a symbol over stage-(r-1) terms,
-    one node each.  Terms are visited in `sort_key` order, sorting by symbol
-    and the children's places in the order of the rank below (tied children
+    r over them: a symbol over stage-(r-1) terms, one node each.  Terms are
+    visited in `sort_key` order.  Unless two labels print alike, that is the
+    order of the product itself: by symbol, then by the children in the
+    order of the rank below.  If two do, each stage is sorted by symbol and
+    the children's places in the order of the rank below (tied children
     share a place).  The classes found at lower ranks are carried one
     unfolding up per rank, each node unfolded once, so dedup is an int
-    lookup.  Nodes go into `nodes` (a fresh table unless given), and every
-    class records its node and its children's classes.  The cap counts the
-    terms of F^r(B), as an enumeration over all of B would meet them.
+    lookup.  Nodes go into `nodes` (a fresh table unless given); every class
+    records its node and its children's classes, and builds its
+    representative only when read.  The cap counts the terms of F^r(B), as
+    an enumeration over all of B would meet them.
     """
     nodes = NodeTable() if nodes is None else nodes
     eq = colim_eq(b)
     gens = [x for x in sorted(b.carrier, key=str) if eq._leaf[x] == ("var", x)]
     rules = {x: nodes.intern(eq._rules[x]) for x in gens}  # b/~
+    tied = len(set(map(str, gens))) < len(gens)  # labels that print alike
     unfolded: dict = {}
     classes: list[MuElement] = []
     frontier: dict = {}  # node of a class, unfolded to the rank -> class index
-    stage: list = []  # (sort key, node) per term of the rank
-    below: dict = {}  # node of a term of the rank below -> (its place, its class index)
+    order: list = []  # the nodes of the terms of the rank, in sort_key order
+    place: dict = {}  # if tied: node of a term of the rank below -> its place in order
     seen = 0
     for rank in range(max_rank + 1):
         count = count_rank(b.sig, len(b.carrier), rank)
@@ -338,30 +372,32 @@ def mu_enumerate(
         seen += count
         if seen > cap:
             raise CapExceeded(rank, seen, cap)
+        below = frontier  # node of a term of the rank below -> its class index
         if rank == 0:
-            stage = [(str(x), nodes.node(("var", x))) for x in gens]
+            order = [nodes.node(("var", x)) for x in gens]
+            keys = dict(zip(order, map(str, gens)))
         else:
-            frontier = {nodes.subst(k, rules.__getitem__, unfolded): i for k, i in frontier.items()}
-            stage = [
-                (
-                    (symbol, tuple([below[child][0] for _, child in combo])),
-                    nodes.op(symbol, tuple([child for _, child in combo])),
-                )
+            frontier = {nodes.subst(k, rules.__getitem__, unfolded): i for k, i in below.items()}
+            order = [
+                nodes.op(symbol, kids)
                 for symbol, arity in b.sig.sorted_ops()
-                for combo in itertools.product(stage, repeat=arity)
+                for kids in itertools.product(order, repeat=arity)
             ]
-        ordered = sorted(stage, key=lambda entry: entry[0])
-        for _, node in ordered:
+            if tied:  # sort by symbol and the children's places
+                keys = {
+                    n: (nodes.keys[n][1], tuple(map(place.__getitem__, nodes.keys[n][2])))
+                    for n in order
+                }
+                order.sort(key=keys.__getitem__)
+        if tied:  # terms with equal keys share the place of the first of them
+            first: dict = {}
+            place = {n: first.setdefault(keys[n], i) for i, n in enumerate(order)}
+        for node in order:
             if node not in frontier:
                 frontier[node] = len(classes)
                 kids = nodes.keys[node][2] if rank else ()
-                term = Term.derived(b.sig, rank, nodes.tree(node))
-                classes.append(MuElement(b, term, node, tuple([below[k][1] for k in kids])))
-        below, place, last = {}, -1, None
-        for sort_key, node in ordered:
-            if sort_key != last:
-                place, last = place + 1, sort_key
-            below[node] = (place, frontier[node])
+                kid_classes = tuple(map(below.__getitem__, kids))
+                classes.append(MuElement(b, None, node, kid_classes, nodes, rank))
     return classes
 
 
@@ -513,9 +549,13 @@ def adjunction_check(
     # them in sigma, so its fold is a(sigma, folds of the padded arguments).
     # Classes come in rank order: layer R pads every class of rank <= R to
     # R, one unfolding per node, and each hom folds each node once.
-    applications = sum(len(classes) ** ar for _, ar in b.sig.ops)
-    if applications * max(len(homs), 1) > cap:
-        raise CapExceeded(max_rank, applications * max(len(homs), 1), cap)
+    applications = sum(len(classes) ** ar for _, ar in b.sig.ops) * max(len(homs), 1)
+    if applications > cap:
+        raise CapExceeded(
+            max_rank, applications, cap,
+            f"rank {max_rank} needs {applications} fold applications "
+            f"(each symbol over every tuple of classes, through every hom), cap is {cap}",
+        )
     rules = {x: nodes.intern(t.tree) for x, t in b.rules().items()}
     unfolded: dict = {}
     layers = [[]]  # layer r: the nodes of the classes of rank <= r, padded to rank r

@@ -41,11 +41,12 @@ class CapExceeded(RuntimeError):
     """Enumeration would exceed the configured size cap.
 
     Raised instead of truncating; carries the offending level and the
-    count that broke the cap.
+    count that broke the cap.  The message says what was counted: a level's
+    terms unless `message` names something else.
     """
 
-    def __init__(self, level: int, count: int, cap: int):
-        super().__init__(f"level {level} holds {count} terms, cap is {cap}")
+    def __init__(self, level: int, count: int, cap: int, message: str = ""):
+        super().__init__(message or f"level {level} holds {count} terms, cap is {cap}")
         self.level = level
         self.count = count
         self.cap = cap

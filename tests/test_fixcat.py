@@ -1,14 +1,19 @@
 import itertools
+import json
 import random
+import time
 from typing import Mapping
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from midfix import cli, fixcat
 from midfix.fixcat import (
     Algebra,
     ArityMismatch,
     Coalgebra,
     CoalgToAlgHom,
+    ColimEq,
     FixcatError,
     MuElement,
     _flat,
@@ -38,6 +43,8 @@ from midfix.fixcat import (
 )
 from midfix.signature import (
     DEFAULT_TERM_CAP,
+    CapExceeded,
+    NodeTable,
     Term,
     count_rank,
     enumerate_rank,
@@ -47,6 +54,7 @@ from midfix.signature import (
     term_to_str,
     unfold,
 )
+from test_colim_eq_reference import mu_enumerate as seed_mu_enumerate
 
 
 def rank1(sig, symbol, *args):
@@ -152,6 +160,51 @@ class TestColimEq:
         )
         eq = colim_eq(b)
         assert eq.same("x", "y") and eq.same("x", "x")
+
+    def test_labels_and_pairs_agree_with_the_relation_they_come_from(self, nat_sig):
+        # x and y stop at once, u and v step to u
+        b = coalgebra(
+            nat_sig,
+            ["y", "x", "v", "u"],
+            {
+                "x": rank1(nat_sig, "z"),
+                "y": rank1(nat_sig, "z"),
+                "u": rank1(nat_sig, "s", "u"),
+                "v": rank1(nat_sig, "s", "u"),
+            },
+        )
+        eq = colim_eq(b)
+        by_pairs = ColimEq(b, eq.rel)
+        assert len(eq.rel) == 2 * 2 + 2 * 2
+        assert eq._leaf == by_pairs._leaf == {
+            "x": ("var", "x"), "y": ("var", "x"), "u": ("var", "u"), "v": ("var", "u")
+        }
+        assert eq.same("y", "x") and eq.same("v", "u") and not eq.same("x", "u")
+
+    def test_wide_class_is_labelled_without_listing_its_pairs(self, nat_sig):
+        # 2000 generators that all stop at once form one class; its four
+        # million pairs are listed only if `rel` is read
+        carrier = [f"x{i}" for i in range(2000)]
+        b = coalgebra(nat_sig, carrier, {x: rank1(nat_sig, "z") for x in carrier})
+        eq = colim_eq(b)
+        assert "rel" not in vars(eq)
+        assert set(eq._leaf.values()) == {("var", "x0")}
+        assert [(e.rank, term_to_str(e.representative)) for e in mu_enumerate(b, 1)] == [
+            (0, "x0"), (1, "s(x0)")
+        ]
+
+    def test_wide_class_from_the_cli(self, tmp_path, capsys):
+        spec = {
+            "sig": {"ops": [{"name": "z", "arity": 0}, {"name": "s", "arity": 1}]},
+            "carrier": [f"x{i}" for i in range(2000)],
+            "structure": {f"x{i}": {"op": "z", "args": []} for i in range(2000)},
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["mu", str(path), "--max-rank", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["class_count"] == 2
+        assert [c["representative"] for c in report["classes"]] == ["x0", "s(x0)"]
 
     def test_soundness_identified_pairs_unfold_equal(self):
         # wherever x ~ y, some unfolding within |B|^2 stages agrees exactly;
@@ -269,6 +322,98 @@ class TestMuEnumerate:
         empty = coalgebra(nat_sig, [], {})
         for n in range(1, 6):
             assert len(mu_enumerate(empty, n)) == len(enumerate_rank(nat_sig, [], n))
+
+    def test_deep_chains_over_labels_that_print_alike(self, nat_sig):
+        # 1 and "1" tie in str order, so every stage is sorted, by the places
+        # of the children; nested sort keys took about 90 s at rank 300,
+        # comparing the chains node by node
+        loops = ((1, rank1(nat_sig, "s", 1)), ("1", rank1(nat_sig, "s", "1")))
+        b = Coalgebra(nat_sig, (1, "1"), loops)
+        assert [(e.rank, e.representative) for e in mu_enumerate(b, 4)] == seed_mu_enumerate(b, 4)
+        start = time.monotonic()
+        classes = mu_enumerate(b, 300, cap=10**6)
+        assert time.monotonic() - start < 30
+        assert [e.rank for e in classes] == [0, 0] + list(range(1, 301))
+
+
+class TestMuElement:
+    def test_made_from_a_term(self, loop_coalgebra, nat_sig):
+        t = rank1(nat_sig, "s", "p")
+        e = MuElement(loop_coalgebra, t)
+        assert e.rank == 1 and e.representative is t
+        assert e.node is None and e.below == ()
+        assert e == mu_element(loop_coalgebra, t) and hash(e) == hash(mu_element(loop_coalgebra, t))
+
+    def test_enumerated_class_equals_the_element_of_its_term(self, loop_coalgebra, nat_sig):
+        classes = mu_enumerate(loop_coalgebra, 3)
+        e = classes[2]
+        assert e.representative is e.representative  # built once, then kept
+        made = MuElement(loop_coalgebra, e.representative)
+        assert made == e and hash(made) == hash(e) and made != classes[3]
+        assert {made, *classes} == set(classes)
+        assert mu_eq(made, e) and not mu_eq(made, classes[3])
+        # the orbit class p and its unfolding s(p): equal in mu(b), not as elements
+        orbit = MuElement(loop_coalgebra, rank1(nat_sig, "s", "p"))
+        assert mu_eq(orbit, classes[0]) and orbit != classes[0]
+
+    def test_same_term_over_another_coalgebra_differs(
+        self, loop_coalgebra, stopped_coalgebra, nat_sig
+    ):
+        p = Term(nat_sig, 0, ("var", "p"))
+        assert MuElement(loop_coalgebra, p) != MuElement(stopped_coalgebra, p)
+        with pytest.raises(FixcatError):
+            mu_eq(MuElement(loop_coalgebra, p), MuElement(stopped_coalgebra, p))
+
+    def test_mu_builds_no_tree(self, monkeypatch, capsys, tmp_path):
+        tables = _record_tables(monkeypatch, cli)
+        spec = {
+            "sig": {"ops": [{"name": "l", "arity": 0}, {"name": "n", "arity": 2}]},
+            "carrier": ["p", "q"],
+            "structure": {"p": {"op": "n", "args": ["p", "q"]}, "q": {"op": "l", "args": []}},
+        }
+        path = tmp_path / "desk.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["mu", str(path), "--max-rank", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["class_count"] == 677
+        assert len(tables) == 1 and tables[0].keys and tables[0]._trees == {}
+
+    def test_passing_adjunction_check_builds_no_tree(self, monkeypatch):
+        tables = _record_tables(monkeypatch, fixcat)
+        rng = random.Random(23)
+        for _ in range(10):
+            b, a = random_instance(rng, max_rank=4, depth=4)
+            assert adjunction_check(b, a, depth=4, max_rank=4)["passed"]
+        assert len(tables) == 10 and all(t._trees == {} for t in tables)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3))
+    def test_lazy_representatives_are_valid_and_match_the_seed(self, seed, max_rank):
+        rng = random.Random(seed)
+        b = random_coalgebra(rng, random_signature(rng), 4)
+        try:
+            expected = seed_mu_enumerate(b, max_rank, cap=2000)
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                mu_enumerate(b, max_rank, cap=2000)
+            return
+        classes = mu_enumerate(b, max_rank, cap=2000)
+        for e in classes:
+            t = e.representative
+            assert Term(t.sig, t.rank, t.tree) == t and t.rank == e.rank
+        assert [(e.rank, e.representative) for e in classes] == expected
+
+
+def _record_tables(monkeypatch, module) -> list:
+    """Make `module` build recorded `NodeTable`s; returns the record."""
+    tables = []
+
+    class Recorded(NodeTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(module, "NodeTable", Recorded)
+    return tables
 
 
 class TestMuAlgebra:

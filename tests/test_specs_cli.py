@@ -138,6 +138,22 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "CapExceeded" in proc.stderr
 
+    def test_adjunction_cap_names_fold_applications(self):
+        # the cap counts each symbol over every tuple of classes through
+        # every hom, not the terms of a level
+        proc = run_cli(
+            "adjunction",
+            str(SPECS / "tree_coalgebra.json"),
+            str(SPECS / "tree_algebra.json"),
+            "--max-rank",
+            "3",
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: CapExceeded: rank 3 needs 104080805 fold applications (each symbol "
+            "over every tuple of classes, through every hom), cap is 100000\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
