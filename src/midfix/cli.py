@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import dagger, fixcat, lattice as lat, specs
 from .checks import verdict
-from .signature import CapExceeded, NodeTable, Signature, SignatureError, _render, count_rank
+from .signature import CapExceeded, Signature, SignatureError, _render, count_rank
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -127,15 +127,14 @@ def cmd_lattice_galois(args) -> tuple[dict, Callable[[], str]]:
 
 def cmd_mu(args) -> tuple[dict, Callable[[], str]]:
     b = specs.parse_coalgebra(_read_spec(args))
-    nodes = NodeTable()
-    classes = fixcat.mu_enumerate(b, args.max_rank, args.cap, nodes)
+    classes = fixcat.mu_enumerate(b, args.max_rank, args.cap)
     texts: dict = {}  # node id -> rendering, so shared subtrees render once
     out = {
         "command": "mu",
         "max_rank": args.max_rank,
         "class_count": len(classes),
         "classes": [
-            {"rank": e.rank, "representative": nodes.render(e.node, texts)} for e in classes
+            {"rank": e.rank, "representative": e.nodes.render(e.node, texts)} for e in classes
         ],
         **verdict({}),  # a cap overrun exits 2 instead
     }

@@ -268,11 +268,9 @@ def colim_eq(b: Coalgebra) -> ColimEq:
     classes = {x: i for i, x in enumerate(b.carrier)}
     count = len(classes)
     while True:
-        keys, merged = {}, {}
-        for x in b.carrier:
-            symbol, leaves = _flat(b.rule(x))
-            key = (symbol, tuple(classes[y] for y in leaves))
-            merged[x] = keys.setdefault(key, len(keys))
+        keys: dict = {}
+        rounds = next_stage(b, classes, lambda symbol, kids: (symbol, kids))
+        merged = {x: keys.setdefault(key, len(keys)) for x, key in rounds.items()}
         if len(keys) == count:
             break
         classes, count = merged, len(keys)
@@ -333,9 +331,7 @@ def mu_eq(e1: MuElement, e2: MuElement, eq: Optional[ColimEq] = None) -> bool:
     return eq.key(e1.representative, rank) == eq.key(e2.representative, rank)
 
 
-def mu_enumerate(
-    b: Coalgebra, max_rank: int, cap: int = DEFAULT_TERM_CAP, nodes: Optional[NodeTable] = None
-) -> list[MuElement]:
+def mu_enumerate(b: Coalgebra, max_rank: int, cap: int = DEFAULT_TERM_CAP) -> list[MuElement]:
     """Minimal-rank canonical representatives of all colimit classes that have
     a representative of rank <= max_rank, in deterministic order.
 
@@ -349,12 +345,12 @@ def mu_enumerate(
     the children's places in the order of the rank below (tied children
     share a place).  The classes found at lower ranks are carried one
     unfolding up per rank, each node unfolded once, so dedup is an int
-    lookup.  Nodes go into `nodes` (a fresh table unless given); every class
-    records its node and its children's classes, and builds its
-    representative only when read.  The cap counts the terms of F^r(B), as
-    an enumeration over all of B would meet them.
+    lookup.  Nodes go into a fresh table, which every class keeps with its
+    node and its children's classes; it builds its representative only when
+    read.  The cap counts the terms of F^r(B), as an enumeration over all of
+    B would meet them.
     """
-    nodes = NodeTable() if nodes is None else nodes
+    nodes = NodeTable()
     eq = colim_eq(b)
     gens = [x for x in sorted(b.carrier, key=str) if eq._leaf[x] == ("var", x)]
     rules = {x: nodes.intern(eq._rules[x]) for x in gens}  # b/~
@@ -541,14 +537,14 @@ def adjunction_check(
     its generator restriction.
     """
     homs = enumerate_coalg_to_alg(b, a, cap)
-    nodes = NodeTable()
-    classes = mu_enumerate(b, max_rank, cap, nodes)
+    classes = mu_enumerate(b, max_rank, cap)
 
     # (i) induced folds are algebra homomorphisms on the enumerated classes.
     # sigma(e_1..e_m) pads its arguments to their highest rank R and wraps
     # them in sigma, so its fold is a(sigma, folds of the padded arguments).
-    # Classes come in rank order: layer R pads every class of rank <= R to
-    # R, one unfolding per node, and each hom folds each node once.
+    # Padding a class j ranks unfolds each of its leaves j times through b,
+    # and such an unfolding of x folds to stage j of the hom's cone at x, so
+    # the padded class folds as its own node read through stage j.
     applications = sum(len(classes) ** ar for _, ar in b.sig.ops) * max(len(homs), 1)
     if applications > cap:
         raise CapExceeded(
@@ -556,29 +552,29 @@ def adjunction_check(
             f"rank {max_rank} needs {applications} fold applications "
             f"(each symbol over every tuple of classes, through every hom), cap is {cap}",
         )
-    rules = {x: nodes.intern(t.tree) for x, t in b.rules().items()}
-    unfolded: dict = {}
-    layers = [[]]  # layer r: the nodes of the classes of rank <= r, padded to rank r
-    for e in classes:
-        while e.rank >= len(layers):
-            layers.append([nodes.subst(n, rules.__getitem__, unfolded) for n in layers[-1]])
-        layers[e.rank].append(e.node)
-    ranks = [e.rank for e in classes]
     folds = []  # per hom: the fold of each class
     alg_witness = None
     for hom in homs:
         cache: dict = {}  # node -> its fold through this hom
-        at = [[nodes.fold(n, hom, a.apply, cache) for n in layer] for layer in layers]
-        values = tuple([at[r][i] for i, r in enumerate(ranks)])
+        values = tuple([e.nodes.fold(e.node, hom, a.apply, cache) for e in classes])
         folds.append(values)
-        # both sides look sigma up over a tuple of folds, so an application
-        # can only fail if some argument folds differently once padded
-        if all(p == v for layer in at for p, v in zip(layer, values)):
+        # stage 1 is f for a hom, and then so is every stage, so padding
+        # changes no fold; only a table changed since the homs were found
+        # gets past this
+        stages = [hom._map, next_stage(b, hom._map, a.apply)]
+        if stages[1] == hom._map:
             continue
+        while len(stages) <= max_rank:
+            stages.append(next_stage(b, stages[-1], a.apply))
+        caches = [{} for _ in stages]  # per stage: node -> its fold read through it
         for symbol, arity in b.sig.sorted_ops():
             for combo in itertools.product(range(len(classes)), repeat=arity):
-                padded = at[ranks[max(combo)]] if combo else ()
-                lhs = a.apply(symbol, tuple(padded[i] for i in combo))
+                rank = classes[max(combo)].rank if combo else 0
+                padded = []
+                for i in combo:
+                    e, j = classes[i], rank - classes[i].rank
+                    padded.append(e.nodes.fold(e.node, stages[j].__getitem__, a.apply, caches[j]))
+                lhs = a.apply(symbol, tuple(padded))
                 if lhs != a.apply(symbol, tuple(values[i] for i in combo)):
                     alg_witness = {
                         "hom": hom.as_dict(),
@@ -611,7 +607,7 @@ def adjunction_check(
     for hom, values in zip(homs, folds):
         forced = []
         for e, value in zip(classes, values):
-            key = nodes.keys[e.node]
+            key = e.nodes.keys[e.node]
             if key[0] == "var":
                 forced.append(hom(key[1]))
             else:
@@ -640,21 +636,21 @@ def adjunction_check(
 
 
 def is_wellfounded(b: Coalgebra) -> bool:
-    """No cycle in the generator dependency graph x -> leaves of b(x)."""
-    graph = {x: set(b.rule(x).leaves()) for x in b.carrier}
-    state: dict = {}
-
-    def visit(x) -> bool:
-        if state.get(x) == "done":
-            return True
-        if state.get(x) == "active":
-            return False
-        state[x] = "active"
-        ok = all(visit(y) for y in graph[x])
-        state[x] = "done"
-        return ok
-
-    return all(visit(x) for x in b.carrier)
+    """No cycle in the generator dependency graph x -> leaves of b(x): peel
+    the generators whose leaves are all peeled until none is left to peel;
+    b is well-founded iff that empties the carrier."""
+    waiting = {x: set(_flat(b.rule(x))[1]) for x in b.carrier}  # x -> its unpeeled leaves
+    users: dict = {}  # y -> the generators with y as a leaf
+    for x, leaves in waiting.items():
+        for y in leaves:
+            users.setdefault(y, []).append(x)
+    peeled = [x for x, leaves in waiting.items() if not leaves]
+    for y in peeled:  # grows while it is read
+        for x in users.get(y, ()):
+            waiting[x].discard(y)
+            if not waiting[x]:
+                peeled.append(x)
+    return len(peeled) == len(b.carrier)
 
 
 def corecursive_check(coalgebras: list[Coalgebra], cap: int = DEFAULT_TERM_CAP) -> dict:

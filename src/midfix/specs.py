@@ -156,20 +156,21 @@ def _parse_flat_term(sig: Signature, obj: dict, where: str) -> Term:
         raise ParseError(where, f"unknown operation symbol {symbol!r}")
     if len(args) != sig.arity(symbol):
         raise ParseError(where, f"{symbol!r} expects {sig.arity(symbol)} args")
-    return Term(sig, 1, ("op", symbol, tuple(("var", x) for x in args)))
+    return Term.derived(sig, 1, ("op", symbol, tuple(("var", x) for x in args)))
 
 
 def parse_coalgebra(obj: dict) -> fixcat.Coalgebra:
     sig = parse_signature(_require(obj, "sig", "coalgebra"))
     carrier = _carrier(obj, "coalgebra")
+    members = set(carrier)
     structure_obj = _object(_require(obj, "structure", "coalgebra"), "coalgebra.structure")
     structure = {}
     for x, entry in structure_obj.items():
-        if x not in carrier:
+        if x not in members:
             raise ParseError("coalgebra.structure", f"unknown carrier element {x!r}")
         term = _parse_flat_term(sig, entry, f"coalgebra.structure[{x!r}]")
         for leaf in term.leaves():
-            if leaf not in carrier:
+            if leaf not in members:
                 raise ParseError(
                     f"coalgebra.structure[{x!r}]", f"unknown generator {leaf!r}"
                 )
@@ -192,15 +193,16 @@ def coalgebra_to_json(b: fixcat.Coalgebra) -> dict:
 def parse_algebra(obj: dict) -> fixcat.Algebra:
     sig = parse_signature(_require(obj, "sig", "algebra"))
     carrier = _carrier(obj, "algebra")
+    members = set(carrier)
     structure = {}
     for i, entry in enumerate(_list(_require(obj, "structure", "algebra"), "algebra.structure")):
         where = f"algebra.structure[{i}]"
         term = _parse_flat_term(sig, entry, where)
         for leaf in term.leaves():
-            if leaf not in carrier:
+            if leaf not in members:
                 raise ParseError(where, f"unknown carrier element {leaf!r}")
         value = _require(entry, "value", where)
-        if value not in carrier:
+        if not isinstance(value, _SCALARS) or value not in members:
             raise ParseError(where, f"value {value!r} outside the carrier")
         if term in structure:
             raise ParseError(where, f"a second entry for {term_to_str(term)}")

@@ -25,7 +25,6 @@ from midfix.fixcat import Coalgebra, ColimEq, coalgebra
 from midfix.signature import (
     DEFAULT_TERM_CAP,
     CapExceeded,
-    NodeTable,
     Term,
     enumerate_rank,
     map_leaves,
@@ -285,13 +284,13 @@ def test_mu_enumerate_over_the_quotient_matches_seed(b, max_rank):
 @settings(max_examples=100, deadline=None)
 @given(quotiented_coalgebras(), st.integers(0, 3))
 def test_mu_enumerate_builds_nodes_over_class_labels_only(b, max_rank):
-    nodes = NodeTable()
     try:
-        fixcat.mu_enumerate(b, max_rank, cap=2000, nodes=nodes)
+        classes = fixcat.mu_enumerate(b, max_rank, cap=2000)
     except CapExceeded:
         return
     labels = set(fixcat.colim_eq(b)._leaf.values())
-    assert {key for key in nodes.keys if key[0] == "var"} <= labels
+    for e in classes[:1]:  # the classes share one table
+        assert {key for key in e.nodes.keys if key[0] == "var"} <= labels
 
 
 def test_class_labels_follow_str_order_not_carrier_order():

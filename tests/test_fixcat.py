@@ -365,7 +365,7 @@ class TestMuElement:
             mu_eq(MuElement(loop_coalgebra, p), MuElement(stopped_coalgebra, p))
 
     def test_mu_builds_no_tree(self, monkeypatch, capsys, tmp_path):
-        tables = _record_tables(monkeypatch, cli)
+        tables = _record_tables(monkeypatch, fixcat)
         spec = {
             "sig": {"ops": [{"name": "l", "arity": 0}, {"name": "n", "arity": 2}]},
             "carrier": ["p", "q"],
@@ -384,6 +384,46 @@ class TestMuElement:
             b, a = random_instance(rng, max_rank=4, depth=4)
             assert adjunction_check(b, a, depth=4, max_rank=4)["passed"]
         assert len(tables) == 10 and all(t._trees == {} for t in tables)
+
+    def test_passing_adjunction_check_searches_no_application(self, monkeypatch):
+        # per hom: one application per node folded, per generator for stage 1
+        # of the cone, and per class forced by uniqueness; searching sigma over
+        # every tuple of classes would apply the algebra twice per tuple
+        tables = _record_tables(monkeypatch, fixcat)
+        calls = []
+        apply = Algebra.apply
+        monkeypatch.setattr(Algebra, "apply", lambda a, *args: calls.append(args) or apply(a, *args))
+        rng = random.Random(23)
+        for _ in range(10):
+            b, a = random_instance(rng, max_rank=4, depth=4)
+            calls.clear()
+            report = adjunction_check(b, a, depth=4, max_rank=4)
+            assert report["passed"]
+            per_hom = len(tables[-1].keys) + len(b.carrier) + report["class_count"]
+            assert len(calls) <= report["hom_count"] * per_hom
+
+    def test_adjunction_check_adds_no_node_to_the_table_of_mu(self, monkeypatch):
+        # broken laws included: reading a class through the cone's stages
+        # folds its own node, so no padded node is ever built
+        tables = _record_tables(monkeypatch, fixcat)
+        rng = random.Random(29)
+        for _ in range(20):
+            b, a = random_instance(rng, max_rank=3, depth=2)
+            for key in sorted(a.table, key=repr)[:2]:
+                a = Algebra(a.sig, a.carrier, a.structure)
+                with pytest.MonkeyPatch.context() as patch:
+                    real = fixcat.enumerate_coalg_to_alg
+
+                    def enumerate_then_break(b, a, cap, key=key):
+                        homs = real(b, a, cap)
+                        a.table[key] = a.carrier[-1]
+                        return homs
+
+                    patch.setattr(fixcat, "enumerate_coalg_to_alg", enumerate_then_break)
+                    adjunction_check(b, a, depth=2, max_rank=3)
+                mu_enumerate(b, 3)
+                checked, bare = tables[-2:]
+                assert checked.keys == bare.keys
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 3))
@@ -727,6 +767,15 @@ class TestRecursiveCorecursive:
             nat_sig, ["x", "y"], {"x": rank1(nat_sig, "s", "y"), "y": rank1(nat_sig, "z")}
         )
         assert is_wellfounded(dag)
+
+    def test_wellfoundedness_of_a_chain_deeper_than_the_recursion_limit(self, nat_sig):
+        # x_i -> s(x_{i+1}) for 3000 generators, stopped by z or closed into a cycle
+        n = 3000
+        chain = {f"x{i}": rank1(nat_sig, "s", f"x{i + 1}") for i in range(n - 1)}
+        carrier = [f"x{i}" for i in range(n)]
+        assert is_wellfounded(coalgebra(nat_sig, carrier, {**chain, f"x{n - 1}": rank1(nat_sig, "z")}))
+        cycle = {**chain, f"x{n - 1}": rank1(nat_sig, "s", "x0")}
+        assert not is_wellfounded(coalgebra(nat_sig, carrier, cycle))
 
     def test_wellfounded_unique_hom(self, stopped_coalgebra, parity_algebra):
         report = wellfounded_recursive_check(stopped_coalgebra, [parity_algebra])
