@@ -17,11 +17,16 @@ from typing import Callable
 
 from . import dagger, fixcat, lattice as lat, specs
 from .checks import verdict
-from .signature import CapExceeded, Signature, SignatureError, _render, count_rank
+from .signature import (
+    DEFAULT_TERM_CAP, CapExceeded, Signature, SignatureError, _render, count_rank,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+
+# the most composable pairs rel-dagger's exhaustive part may check (349,691 at size 3)
+MAX_DAGGER_PAIRS = 1_000_000
 
 # a chain DOT label holds a stage size only while int-to-str can print it
 DOT_MAX_DIGITS = 4300
@@ -190,6 +195,15 @@ def cmd_trace(args) -> tuple[dict, Callable[[], str]]:
 
 
 def cmd_rel_dagger(args) -> tuple[dict, Callable[[], str]]:
+    # every composable pair (r, s) is checked: through a middle object of
+    # size m go sum over k of 2^(k*m) relations in and as many out.  Counted
+    # size by size, a huge --size is refused as fast as --size 4
+    cap = MAX_DAGGER_PAIRS
+    for size in range(args.size + 1):
+        pairs = sum(sum(2 ** (k * m) for k in range(size + 1)) ** 2 for m in range(size + 1))
+        if pairs > cap:
+            message = f"objects up to size {size} give {pairs} composable pairs, cap is {cap}"
+            raise CapExceeded(size, pairs, cap, message)
     rng = random.Random(args.seed)
     objects = [tuple(f"u{i}" for i in range(n)) for n in range(args.size + 1)]
     sample = [
@@ -265,13 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mu", help="enumerate colimit classes of a coalgebra")
     common(p)
     p.add_argument("--max-rank", type=_count, default=fixcat.DEFAULT_MAX_RANK)
-    p.add_argument("--cap", type=_count, default=100_000)
+    p.add_argument("--cap", type=_count, default=DEFAULT_TERM_CAP)
     p.set_defaults(handler=cmd_mu)
 
     p = sub.add_parser("nu", help="depth-bounded limit stages of an algebra")
     common(p)
     p.add_argument("--depth", type=_count, default=fixcat.DEFAULT_DEPTH)
-    p.add_argument("--cap", type=_count, default=100_000)
+    p.add_argument("--cap", type=_count, default=DEFAULT_TERM_CAP)
     p.set_defaults(handler=cmd_nu)
 
     p = sub.add_parser("adjunction", help="verify the hom-set correspondence")
@@ -280,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json", "dot"], default="json")
     p.add_argument("--depth", type=_count, default=5)
     p.add_argument("--max-rank", type=_count, default=5)
-    p.add_argument("--cap", type=_count, default=100_000)
+    p.add_argument("--cap", type=_count, default=DEFAULT_TERM_CAP)
     p.set_defaults(handler=cmd_adjunction)
 
     p = sub.add_parser("trace", help="infinite-trace stream of a generator")

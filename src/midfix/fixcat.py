@@ -57,25 +57,29 @@ class Coalgebra:
     """b : B -> F(B), with the structure stored as rank-1 terms over B."""
 
     sig: Signature
-    carrier: tuple
-    structure: tuple  # sorted pairs (x, Term of rank 1 over carrier)
+    carrier: tuple  # kept in stable str order, however given
+    structure: tuple  # pairs (x, Term of rank 1 over carrier), kept in str order of x
     _rules: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _distinct(self.carrier)
-        rules, carrier = dict(self.structure), set(self.carrier)
-        for x in self.carrier:
-            if x not in rules:
-                raise FixcatError(f"structure not total: missing {x!r}")
-        for x, t in self.structure:
-            if x not in carrier:
+        carrier = _ordered(self.carrier)
+        structure = tuple(sorted(self.structure, key=lambda p: str(p[0])))
+        rules, members = {}, set(carrier)
+        for x, t in structure:
+            if x in rules:
+                raise FixcatError(f"structure gives {x!r} a second rule")
+            if x not in members:
                 raise FixcatError(f"structure names {x!r} outside the carrier")
             if t.rank != 1 or t.sig != self.sig:
                 raise FixcatError(f"structure at {x!r} is not a rank-1 term")
-            for leaf in t.leaves():
-                if leaf not in carrier:
+            for leaf in _flat(t)[1]:
+                if leaf not in members:
                     raise FixcatError(f"structure at {x!r} uses unknown {leaf!r}")
-        object.__setattr__(self, "_rules", rules)
+            rules[x] = t
+        if len(rules) < len(carrier):
+            missing = next(x for x in carrier if x not in rules)
+            raise FixcatError(f"structure not total: missing {missing!r}")
+        self.__dict__.update(carrier=carrier, structure=structure, _rules=rules)
 
     def rule(self, x) -> Term:
         return self._rules[x]
@@ -86,8 +90,7 @@ class Coalgebra:
 
 
 def coalgebra(sig: Signature, carrier: Iterable, structure: Mapping) -> Coalgebra:
-    items = tuple(sorted(dict(structure).items(), key=lambda p: str(p[0])))
-    return Coalgebra(sig, tuple(sorted(carrier, key=str)), items)
+    return Coalgebra(sig, tuple(carrier), tuple(dict(structure).items()))
 
 
 @dataclass(frozen=True)
@@ -95,29 +98,33 @@ class Algebra:
     """a : F(A) -> A, stored as a total table on the rank-1 terms over A."""
 
     sig: Signature
-    carrier: tuple
-    structure: tuple  # sorted pairs (Term of rank 1 over carrier, element)
+    carrier: tuple  # kept in stable str order, however given
+    structure: tuple  # pairs (Term of rank 1 over carrier, element), kept in sort_key order
     table: dict = field(init=False, repr=False, compare=False)  # (symbol, args) -> value
 
     def __post_init__(self):
-        _distinct(self.carrier)
-        table, carrier = {}, set(self.carrier)
-        for t, value in self.structure:
+        carrier = _ordered(self.carrier)
+        structure = tuple(sorted(self.structure, key=lambda p: p[0].sort_key()))
+        table, members = {}, set(carrier)
+        for t, value in structure:
             if t.rank != 1 or t.sig != self.sig:
                 raise FixcatError(f"structure entry {term_to_str(t)} is not a rank-1 term")
             key = _flat(t)
-            if not carrier.issuperset(key[1]):
+            if key in table:
+                raise FixcatError(f"a second entry for {term_to_str(t)}")
+            if not members.issuperset(key[1]):
                 raise FixcatError(f"structure entry {term_to_str(t)} leaves the carrier")
+            if value not in members:
+                raise FixcatError(
+                    f"structure entry {term_to_str(t)} has value {value!r} outside the carrier"
+                )
             table[key] = value
         # total iff every element of F(A) is a key: count the keys, and only
         # search F(A) (lazily, it may be huge) when one is missing
-        if len(table) < count_rank(self.sig, len(self.carrier), 1):
-            missing = next(t for t in f_terms(self.sig, self.carrier) if _flat(t) not in table)
+        if len(table) < count_rank(self.sig, len(carrier), 1):
+            missing = next(t for t in f_terms(self.sig, carrier) if _flat(t) not in table)
             raise FixcatError(f"structure not total: missing {term_to_str(missing)}")
-        for t, value in self.structure:
-            if value not in self.carrier:
-                raise FixcatError(f"value {value!r} outside the carrier")
-        object.__setattr__(self, "table", table)
+        self.__dict__.update(carrier=carrier, structure=structure, table=table)
 
     def apply(self, symbol: str, values: tuple):
         if len(values) != self.sig.arity(symbol):
@@ -125,11 +132,14 @@ class Algebra:
         return self.table[(symbol, tuple(values))]
 
 
-def _distinct(carrier: tuple) -> None:
-    """Reject a carrier that lists an element twice (1, 1.0 and True are one)."""
+def _ordered(carrier: Iterable) -> tuple:
+    """The carrier in stable `str` order; an element listed twice (1, 1.0 and
+    True are one) is rejected."""
+    carrier = tuple(carrier)
     if len(set(carrier)) < len(carrier):
         twice = next(x for i, x in enumerate(carrier) if x in carrier[:i])
         raise FixcatError(f"carrier lists {twice!r} twice")
+    return tuple(sorted(carrier, key=str))
 
 
 def _flat(t: Term) -> tuple:
@@ -139,8 +149,7 @@ def _flat(t: Term) -> tuple:
 
 
 def algebra(sig: Signature, carrier: Iterable, structure: Mapping) -> Algebra:
-    items = tuple(sorted(dict(structure).items(), key=lambda p: p[0].sort_key()))
-    return Algebra(sig, tuple(sorted(carrier, key=str)), items)
+    return Algebra(sig, tuple(carrier), tuple(dict(structure).items()))
 
 
 def one_element_algebra(sig: Signature, label: str = "*") -> Algebra:
@@ -154,7 +163,7 @@ class CoalgToAlgHom:
 
     source: Coalgebra
     target: Algebra
-    mapping: tuple  # sorted pairs (x, f(x))
+    mapping: tuple  # pairs (x, f(x)) in carrier order
     _map: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -202,7 +211,7 @@ def enumerate_coalg_to_alg(
     for images in itertools.product(a.carrier, repeat=len(b.carrier)):
         f = dict(zip(b.carrier, images))
         if all(f[x] == _pivot(b, a, f, x) for x in b.carrier):
-            out.append(CoalgToAlgHom(b, a, tuple(sorted(f.items(), key=lambda p: str(p[0])))))
+            out.append(CoalgToAlgHom(b, a, tuple(f.items())))
     return out
 
 
@@ -213,8 +222,8 @@ class ColimEq:
     """Least generator identification: x ~ y once their unfoldings agree.
 
     Points of mu(b) get a canonical form from it: `key(t, rank)` relabels
-    each leaf of t to its class label, the first member of the class in
-    `sorted(carrier, key=str)` order, and unfolds the result up to `rank`.
+    each leaf of t to its class label, the member of the class that comes
+    first in carrier order, and unfolds the result up to `rank`.
     Two terms are colimit-equal iff their keys at any common rank >= both
     ranks are equal.  `_rules` relabelled to the class labels is the
     quotient coalgebra b/~, over which a term is its own key.
@@ -227,8 +236,7 @@ class ColimEq:
                  labels: Optional[Mapping] = None):
         carrier = coalgebra.carrier
         if labels is None:
-            ordered = sorted(carrier, key=str)
-            labels = {x: next(y for y in ordered if (x, y) in rel) for x in carrier}
+            labels = {x: next(y for y in carrier if (x, y) in rel) for x in carrier}
             self.rel = rel
         self.coalgebra = coalgebra
         self._leaf = {x: ("var", labels[x]) for x in carrier}  # x -> ("var", its label)
@@ -275,7 +283,7 @@ def colim_eq(b: Coalgebra) -> ColimEq:
             break
         classes, count = merged, len(keys)
     first: dict = {}  # class -> its label
-    for x in sorted(b.carrier, key=str):
+    for x in b.carrier:
         first.setdefault(classes[x], x)
     return ColimEq(b, labels={x: first[classes[x]] for x in b.carrier})
 
@@ -352,7 +360,7 @@ def mu_enumerate(b: Coalgebra, max_rank: int, cap: int = DEFAULT_TERM_CAP) -> li
     """
     nodes = NodeTable()
     eq = colim_eq(b)
-    gens = [x for x in sorted(b.carrier, key=str) if eq._leaf[x] == ("var", x)]
+    gens = [x for x in b.carrier if eq._leaf[x] == ("var", x)]
     rules = {x: nodes.intern(eq._rules[x]) for x in gens}  # b/~
     tied = len(set(map(str, gens))) < len(gens)  # labels that print alike
     unfolded: dict = {}
@@ -376,7 +384,7 @@ def mu_enumerate(b: Coalgebra, max_rank: int, cap: int = DEFAULT_TERM_CAP) -> li
             frontier = {nodes.subst(k, rules.__getitem__, unfolded): i for k, i in below.items()}
             order = [
                 nodes.op(symbol, kids)
-                for symbol, arity in b.sig.sorted_ops()
+                for symbol, arity in b.sig.ops
                 for kids in itertools.product(order, repeat=arity)
             ]
             if tied:  # sort by symbol and the children's places
@@ -567,7 +575,7 @@ def adjunction_check(
         while len(stages) <= max_rank:
             stages.append(next_stage(b, stages[-1], a.apply))
         caches = [{} for _ in stages]  # per stage: node -> its fold read through it
-        for symbol, arity in b.sig.sorted_ops():
+        for symbol, arity in b.sig.ops:
             for combo in itertools.product(range(len(classes)), repeat=arity):
                 rank = classes[max(combo)].rank if combo else 0
                 padded = []
@@ -692,7 +700,7 @@ def random_coalgebra(
     carrier = tuple(f"x{i}" for i in range(rng.randint(0, max_carrier)))
     structure = {}
     for x in carrier:
-        symbol, arity = rng.choice(sig.sorted_ops())
+        symbol, arity = rng.choice(sig.ops)
         children = tuple(("var", rng.choice(carrier)) for _ in range(arity))
         structure[x] = Term(sig, 1, ("op", symbol, children))
     return coalgebra(sig, carrier, structure)

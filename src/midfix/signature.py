@@ -140,13 +140,14 @@ class NodeTable:
         return self.fold(node, lambda label: ("var", label), _op_tree, self._trees)
 
     def render(self, node: int, cache: dict) -> str:
-        """`tree_to_str` of the node, rendering each node once into `cache`."""
+        """`term_to_str` of the node, rendering each node once into `cache`."""
         return self.fold(node, str, _render, cache)
 
 
 @dataclass(frozen=True)
 class Signature:
-    """A finite list of (symbol, arity) pairs with distinct symbols."""
+    """A finite set of (symbol, arity) pairs with distinct symbols, kept in
+    symbol order: signatures that list the same operations are equal."""
 
     ops: tuple[tuple[str, int], ...]
     arities: dict = field(init=False, repr=False, compare=False)
@@ -159,11 +160,7 @@ class Signature:
             if arity < 0:
                 raise SignatureError(f"negative arity for {name!r}")
             arities[name] = arity
-        object.__setattr__(self, "arities", arities)
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.ops)
+        self.__dict__.update(ops=tuple(sorted(self.ops)), arities=arities)
 
     def arity(self, symbol: str) -> int:
         try:
@@ -172,7 +169,7 @@ class Signature:
             raise SignatureError(f"unknown operation symbol {symbol!r}") from None
 
     def sorted_ops(self) -> list[tuple[str, int]]:
-        return sorted(self.ops)
+        return list(self.ops)
 
 
 def signature(ops: Iterable[tuple[str, int]]) -> Signature:
@@ -235,7 +232,7 @@ def f_terms(sig: Signature, generators: Iterable) -> Iterator[Term]:
     """The elements of F(X), lazily: sigma(x_1..x_m) for each operation and
     tuple over X."""
     gens = sorted(generators, key=str)
-    for symbol, arity in sig.sorted_ops():
+    for symbol, arity in sig.ops:
         for combo in itertools.product(gens, repeat=arity):
             yield Term.derived(sig, 1, ("op", symbol, tuple(("var", x) for x in combo)))
 
@@ -265,7 +262,7 @@ def enumerate_rank(
     trees = [("var", x) for x in gens]
     for _ in range(rank):
         nxt = []
-        for symbol, arity in sig.sorted_ops():
+        for symbol, arity in sig.ops:
             for combo in itertools.product(trees, repeat=arity):
                 nxt.append(("op", symbol, tuple(combo)))
         trees = nxt
@@ -299,9 +296,5 @@ def _render(symbol, children, depth=None) -> str:
     return f"{symbol}({', '.join(children)})" if children else symbol
 
 
-def tree_to_str(node: Tree) -> str:
-    return fold(node, lambda label, depth: str(label), _render)
-
-
 def term_to_str(t: Term) -> str:
-    return tree_to_str(t.tree)
+    return fold(t.tree, lambda label, depth: str(label), _render)

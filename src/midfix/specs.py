@@ -144,15 +144,10 @@ def _distinct(value, where: str) -> list:
     return elements
 
 
-def _carrier(obj: dict, where: str) -> list:
-    """A (co)algebra carrier."""
-    return _distinct(_require(obj, "carrier", where), f"{where}.carrier")
-
-
 def _parse_flat_term(sig: Signature, obj: dict, where: str) -> Term:
     symbol = _require(obj, "op", where)
     args = _scalars(_require(obj, "args", where), f"{where}.args")
-    if symbol not in sig.symbols:
+    if not isinstance(symbol, str) or symbol not in sig.arities:
         raise ParseError(where, f"unknown operation symbol {symbol!r}")
     if len(args) != sig.arity(symbol):
         raise ParseError(where, f"{symbol!r} expects {sig.arity(symbol)} args")
@@ -161,20 +156,12 @@ def _parse_flat_term(sig: Signature, obj: dict, where: str) -> Term:
 
 def parse_coalgebra(obj: dict) -> fixcat.Coalgebra:
     sig = parse_signature(_require(obj, "sig", "coalgebra"))
-    carrier = _carrier(obj, "coalgebra")
-    members = set(carrier)
+    carrier = _distinct(_require(obj, "carrier", "coalgebra"), "coalgebra.carrier")
     structure_obj = _object(_require(obj, "structure", "coalgebra"), "coalgebra.structure")
-    structure = {}
-    for x, entry in structure_obj.items():
-        if x not in members:
-            raise ParseError("coalgebra.structure", f"unknown carrier element {x!r}")
-        term = _parse_flat_term(sig, entry, f"coalgebra.structure[{x!r}]")
-        for leaf in term.leaves():
-            if leaf not in members:
-                raise ParseError(
-                    f"coalgebra.structure[{x!r}]", f"unknown generator {leaf!r}"
-                )
-        structure[x] = term
+    structure = {
+        x: _parse_flat_term(sig, entry, f"coalgebra.structure[{x!r}]")
+        for x, entry in structure_obj.items()
+    }
     return fixcat.coalgebra(sig, carrier, structure)
 
 
@@ -192,18 +179,14 @@ def coalgebra_to_json(b: fixcat.Coalgebra) -> dict:
 
 def parse_algebra(obj: dict) -> fixcat.Algebra:
     sig = parse_signature(_require(obj, "sig", "algebra"))
-    carrier = _carrier(obj, "algebra")
-    members = set(carrier)
+    carrier = _distinct(_require(obj, "carrier", "algebra"), "algebra.carrier")
     structure = {}
     for i, entry in enumerate(_list(_require(obj, "structure", "algebra"), "algebra.structure")):
         where = f"algebra.structure[{i}]"
         term = _parse_flat_term(sig, entry, where)
-        for leaf in term.leaves():
-            if leaf not in members:
-                raise ParseError(where, f"unknown carrier element {leaf!r}")
         value = _require(entry, "value", where)
-        if not isinstance(value, _SCALARS) or value not in members:
-            raise ParseError(where, f"value {value!r} outside the carrier")
+        if not isinstance(value, _SCALARS):
+            raise ParseError(where, f"value {value!r} is not a string, number, boolean or null")
         if term in structure:
             raise ParseError(where, f"a second entry for {term_to_str(term)}")
         structure[term] = value

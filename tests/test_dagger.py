@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -126,6 +127,17 @@ class TestDaggerLaws:
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["passed"] is True
         assert report["sample_size"] == 689
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_sizes_past_the_pair_cap_exit_two_at_once(self, capsys, size):
+        # size 4 has 4,908,738,053 composable pairs (hours of checking), and
+        # size 5 builds 35,794,197 relations before checking any
+        start = time.perf_counter()
+        code = cli.main(["rel-dagger", "--size", str(size), "--samples", "0"])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "error: CapExceeded: objects up to size 4 give 4908738053 composable pairs" in err
 
     def test_random_large_sample(self):
         rng = random.Random(3)

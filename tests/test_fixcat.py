@@ -114,6 +114,59 @@ class TestCarriers:
             algebra(nat_sig, [0, 1], structure)
 
 
+    # a second rule for one generator, or a second entry for one argument
+    # tuple, used to replace the first silently
+    def test_coalgebra_rejects_a_second_rule(self, nat_sig):
+        structure = (("p", rank1(nat_sig, "z")), ("p", rank1(nat_sig, "s", "p")))
+        with pytest.raises(FixcatError, match="structure gives 'p' a second rule"):
+            Coalgebra(nat_sig, ("p",), structure)
+
+    def test_algebra_rejects_a_second_entry(self, nat_sig):
+        structure = (
+            (rank1(nat_sig, "z"), "0"),
+            (rank1(nat_sig, "s", "0"), "1"),
+            (rank1(nat_sig, "s", "1"), "0"),
+            (rank1(nat_sig, "s", "0"), "0"),
+        )
+        with pytest.raises(FixcatError, match=r"a second entry for s\(0\)"):
+            Algebra(nat_sig, ("0", "1"), structure)
+
+    def test_algebra_value_error_names_its_entry(self, nat_sig):
+        structure = {rank1(nat_sig, "z"): 0, rank1(nat_sig, "s", 0): 1, rank1(nat_sig, "s", 1): 7}
+        with pytest.raises(FixcatError, match=r"structure entry s\(1\) has value 7 outside"):
+            algebra(nat_sig, [0, 1], structure)
+
+    def test_carrier_and_structure_are_kept_in_str_order(self, nat_sig):
+        z, sq = rank1(nat_sig, "z"), rank1(nat_sig, "s", "q")
+        b = Coalgebra(nat_sig, ("q", "p"), (("q", z), ("p", sq)))
+        assert b.carrier == ("p", "q") and b.structure == (("p", sq), ("q", z))
+
+
+@st.composite
+def shuffled(draw, items):
+    return tuple(draw(st.permutations(list(items))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_input_order_changes_no_coalgebra_algebra_or_result(seed, data):
+    # signatures, carriers and structures listed in any order are the same
+    # objects as the builders make, and give the same classes and verdicts
+    b, a = random_instance(random.Random(seed), max_rank=3, depth=2)
+    sig = signature(data.draw(shuffled(b.sig.ops)))
+    carrier_b, carrier_a = data.draw(shuffled(b.carrier)), data.draw(shuffled(a.carrier))
+    rules = data.draw(shuffled((x, Term(sig, 1, t.tree)) for x, t in b.structure))
+    table = data.draw(shuffled((Term(sig, 1, t.tree), v) for t, v in a.structure))
+    b2, a2 = Coalgebra(sig, carrier_b, rules), Algebra(sig, carrier_a, table)
+    assert (b2, a2) == (b, a) and hash((b2, a2)) == hash((b, a))
+    assert (b2.structure, a2.structure) == (b.structure, a.structure)
+    classes, classes2 = mu_enumerate(b, 3), mu_enumerate(b2, 3)
+    assert [(e.rank, term_to_str(e.representative)) for e in classes2] == [
+        (e.rank, term_to_str(e.representative)) for e in classes
+    ]
+    assert adjunction_check(b2, a2, 2, 3) == adjunction_check(b, a, 2, 3)
+
+
 class TestHomEnumeration:
     def test_loop_into_parity_has_no_solution(self, loop_coalgebra, parity_algebra):
         assert enumerate_coalg_to_alg(loop_coalgebra, parity_algebra) == []

@@ -86,6 +86,19 @@ def test_report_matches_golden(case):
     assert stdout == (GOLDEN / case).read_text(encoding="utf-8")
 
 
+def test_reordered_operations_give_the_golden_adjunction(tmp_path):
+    # parity_algebra.json with its two ops listed in reverse presents the same
+    # functor as stopped_coalgebra.json; it used to exit 2 with
+    # "coalgebra and algebra signatures differ"
+    spec = json.loads((ROOT / "sample_specs" / "parity_algebra.json").read_text())
+    spec["sig"]["ops"].reverse()
+    path = tmp_path / "parity_reversed.json"
+    path.write_text(json.dumps(spec))
+    stdout, code = run(["adjunction", "sample_specs/stopped_coalgebra.json", str(path)])
+    assert code == 0
+    assert stdout == (GOLDEN / "adjunction.json").read_text(encoding="utf-8")
+
+
 def test_every_golden_file_has_a_case():
     on_disk = {p.name for p in GOLDEN.iterdir()} - {"exit_codes.json"}
     assert on_disk == set(_ids())

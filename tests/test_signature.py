@@ -32,6 +32,15 @@ class TestSignature:
         with pytest.raises(SignatureError):
             signature([("s", -1)])
 
+    def test_operations_are_a_set(self):
+        # F is presented by a set of operations: the order they are listed
+        # in is no part of the signature, so equality and hash ignore it
+        listed = signature([("z", 0), ("s", 1), ("n", 2)])
+        reversed_ = signature([("n", 2), ("s", 1), ("z", 0)])
+        assert listed == reversed_ and hash(listed) == hash(reversed_)
+        assert listed.ops == (("n", 2), ("s", 1), ("z", 0)) == tuple(listed.sorted_ops())
+        assert rank1(listed, "s", "x") == rank1(reversed_, "s", "x")
+
     def test_arity_lookup(self):
         sig = signature([("z", 0), ("s", 1)])
         assert sig.arity("s") == 1

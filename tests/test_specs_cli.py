@@ -520,6 +520,53 @@ class TestExitCodes:
                 },
                 "ParseError: functor.relations[2]: ",
             ),
+            # a structure key, a leaf, an algebra argument or an algebra value
+            # outside the carrier: `specs` leaves these to Coalgebra and Algebra
+            (
+                "mu",
+                {
+                    "sig": {"ops": [{"name": "z", "arity": 0}]},
+                    "carrier": ["p"],
+                    "structure": {"p": {"op": "z", "args": []}, "q": {"op": "z", "args": []}},
+                },
+                "FixcatError: structure names 'q' outside the carrier",
+            ),
+            (
+                "mu",
+                {
+                    "sig": {"ops": [{"name": "s", "arity": 1}]},
+                    "carrier": ["p"],
+                    "structure": {"p": {"op": "s", "args": ["r"]}},
+                },
+                "FixcatError: structure at 'p' uses unknown 'r'",
+            ),
+            (
+                "nu",
+                {
+                    "sig": {"ops": [{"name": "z", "arity": 0}, {"name": "s", "arity": 1}]},
+                    "carrier": ["0", "1"],
+                    "structure": [
+                        {"op": "z", "args": [], "value": "0"},
+                        {"op": "s", "args": ["0"], "value": "1"},
+                        {"op": "s", "args": ["1"], "value": "0"},
+                        {"op": "s", "args": ["2"], "value": "0"},
+                    ],
+                },
+                "FixcatError: structure entry s(2) leaves the carrier",
+            ),
+            (
+                "nu",
+                {
+                    "sig": {"ops": [{"name": "z", "arity": 0}, {"name": "s", "arity": 1}]},
+                    "carrier": ["0", "1"],
+                    "structure": [
+                        {"op": "z", "args": [], "value": "0"},
+                        {"op": "s", "args": ["0"], "value": "1"},
+                        {"op": "s", "args": ["1"], "value": "2"},
+                    ],
+                },
+                "FixcatError: structure entry s(1) has value '2' outside the carrier",
+            ),
         ],
     )
     def test_malformed_spec_exits_two(self, tmp_path, command, spec, error):
