@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import dagger, fixcat, lattice as lat, specs
@@ -53,12 +55,17 @@ def _read_path(path: str) -> dict:
 # -- DOT emission --------------------------------------------------------------
 
 
+def _dot_id(x) -> str:
+    """x as a quoted DOT identifier, its backslashes and quotes escaped."""
+    return '"' + str(x).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def emit_lattice_dot(lattice: lat.FinLattice) -> str:
     lines = ["digraph hasse {"]
     for x in lattice.elements:
-        lines.append(f'  "{x}";')
+        lines.append(f"  {_dot_id(x)};")
     for x, y in sorted(lattice.covers(), key=str):
-        lines.append(f'  "{x}" -> "{y}";')
+        lines.append(f"  {_dot_id(x)} -> {_dot_id(y)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -84,6 +91,109 @@ def emit_chain_dot(stage_sizes: list[int], connector_base: str) -> str:
         lines.append(f'  s{k} -> s{k + 1} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# -- JSON emission -------------------------------------------------------------
+#
+# json.dumps with indent runs the pure-Python encoder.  The C encoder, with
+# ensure_ascii, writes a raw newline only inside a separator, so one whose
+# item separator is "," plus a newline and an indent prints a container of
+# scalars in the indent=2 layout, save the newlines at its two brackets.
+
+
+@functools.cache
+def _encoder(level: int) -> json.JSONEncoder:
+    """The C encoder that starts each item of a container on a new line,
+    `level` indents deep."""
+    return json.JSONEncoder(sort_keys=True, default=repr, separators=(",\n" + "  " * level, ": "))
+
+
+_CONTAINERS = (list, tuple, dict)
+
+
+def _nested(value) -> bool:
+    """A non-empty list, tuple or dict: the values that span lines.  An empty
+    one prints as [] or {}, with or without an indent."""
+    return isinstance(value, _CONTAINERS) and len(value) > 0
+
+
+def _all_flat(values) -> bool:
+    """No value spans lines.  Each type is looked at once, and only values of
+    a container type one by one."""
+    types = set(map(type, values))
+    return not any(issubclass(t, _CONTAINERS) for t in types) or not any(map(_nested, values))
+
+
+def _scalar(value) -> str:
+    """A value that does not span lines, as the encoders write it; the common
+    ones without the cost of setting up an encoder."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return _encoder(0).encode(value)
+
+
+def _key(key) -> str:
+    """A dict key as the encoders write it: a str as a string, a number, bool
+    or None as the string of its JSON text, anything else a TypeError."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return _encoder(0).encode({key: 0})[1:-4]
+
+
+def emit_json(report) -> str:
+    """The bytes of json.dumps(report, sort_keys=True, indent=2, default=repr)."""
+    out: list[str] = []
+    _emit_json(report, 0, out)
+    return "".join(out)
+
+
+def _emit_json(obj, level: int, out: list[str]) -> None:
+    """Append obj's text, starting `level` indents deep, to out.  Long texts
+    are copied as few times as may be, since every copy is a large allocation."""
+    if not _nested(obj):
+        out.append(_scalar(obj))
+        return
+    is_dict = isinstance(obj, dict)
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if _all_flat(obj.values() if is_dict else obj):
+        text = _encoder(level + 1).encode(obj)
+        out += (text[0], inner, text[1:-1], outer, text[-1])
+        return
+    if (
+        not is_dict
+        and all(issubclass(t, dict) for t in set(map(type, obj)))
+        and all(obj)
+        and _all_flat(list(itertools.chain.from_iterable(map(dict.values, obj))))
+    ):
+        # items printed at their members' depth: between two items the
+        # separator is the only thing between "}" and "{", since inside an
+        # item a separator is followed by a key
+        deep = "\n" + "  " * (level + 2)
+        text = _encoder(level + 2).encode(obj)
+        text = text.replace("}," + deep + "{", inner + "}," + inner + "{" + deep)
+        out += ("[", inner, "{", deep, text[2:-2], inner, "}", outer, "]")
+        return
+    # a container that holds containers: a few per report, walked here
+    out.append("{" if is_dict else "[")
+    for key, value in sorted(obj.items()) if is_dict else zip(itertools.repeat(None), obj):
+        out.append(inner)
+        if is_dict:
+            out += (_key(key), ": ")
+        if _nested(value):
+            _emit_json(value, level + 1, out)
+        else:
+            out.append(_scalar(value))
+        out.append(",")
+    out[-1] = outer
+    out.append("}" if is_dict else "]")
 
 
 # -- commands ------------------------------------------------------------------
@@ -351,7 +461,7 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2, default=repr))
+        print(emit_json(report))
     elif args.format == "text":
         _render_text(report, sys.stdout)
     return EXIT_OK if report.get("passed", True) else EXIT_CHECK_FAILED

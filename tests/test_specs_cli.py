@@ -723,6 +723,25 @@ class TestDot:
         assert proc.stdout.startswith("digraph")
         assert proc.stdout.count("->") == 4  # covering edges of the 5-chain
 
+    def test_lattice_names_are_escaped(self, tmp_path):
+        quote, backslash = 'a"b', "c\\"
+        spec = {
+            "elements": [quote, backslash],
+            "leq": [[quote, quote], [quote, backslash], [backslash, backslash]],
+            "map": {quote: quote, backslash: backslash},
+        }
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("lattice-fixpoints", str(path), "--format", "dot")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == [
+            "digraph hasse {",
+            r'  "a\"b";',
+            r'  "c\\";',
+            r'  "a\"b" -> "c\\";',
+            "}",
+        ]
+
     def test_mu_chain_diagram(self):
         proc = run_cli(
             "mu", str(SPECS / "loop_coalgebra.json"), "--max-rank", "2", "--format", "dot"
