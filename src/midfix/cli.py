@@ -14,8 +14,8 @@ import itertools
 import json
 import random
 import sys
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
-from typing import Callable
 
 from . import dagger, fixcat, lattice as lat, specs
 from .checks import verdict

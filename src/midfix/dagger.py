@@ -18,8 +18,8 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 
 from .checks import verdict
 
@@ -50,7 +50,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-class FinRel(NamedTuple):
+class FinRel(namedtuple("FinRel", "source target rows")):
     """A relation between two finite sets, stored as bit rows: bit j of
     rows[i] is set when source[i] is related to target[j].
 
@@ -60,9 +60,7 @@ class FinRel(NamedTuple):
     so that building and comparing relations runs in C.
     """
 
-    source: tuple
-    target: tuple
-    rows: tuple
+    __slots__ = ()
 
     @property
     def pairs(self) -> frozenset:
@@ -152,7 +150,7 @@ def all_relations(source: Iterable, target: Iterable):
         yield FinRel(src, tgt, combo)
 
 
-def _first(found: Iterable) -> Optional[list]:
+def _first(found: Iterable) -> list | None:
     """[the first counterexample found], or None when there is none; found
     is lazy, so later counterexamples are never built."""
     return next(([x] for x in found), None)
@@ -184,13 +182,12 @@ def dagger_laws_check(objects: list, sample: list[FinRel]) -> dict:
     )
 
 
-@dataclass(frozen=True)
 class RelEndo:
     """An endofunctor on finite relations; on_object maps sorted objects to sorted ones."""
 
-    name: str
-    on_object: Callable[[tuple], tuple]
-    on_rel: Callable[[FinRel], FinRel]
+    def __init__(self, name: str, on_object: Callable[[tuple], tuple],
+                 on_rel: Callable[[FinRel], FinRel]):
+        self.name, self.on_object, self.on_rel = name, on_object, on_rel
 
 
 def identity_endofunctor() -> RelEndo:
@@ -285,20 +282,17 @@ def _endo_law_witnesses(functor: RelEndo, rels: list[FinRel]) -> dict:
     }
 
 
-@dataclass
 class RelChain:
     """Objects with connectors; forward connectors go objects[k] -> objects[k+1],
-    backward connectors go objects[k+1] -> objects[k]."""
+    backward connectors go objects[k+1] -> objects[k] (direction "forward" or
+    "backward")."""
 
-    objects: list[tuple]
-    connectors: list[FinRel]
-    direction: str  # "forward" | "backward"
-
-    def __post_init__(self):
-        ends = (0, 1) if self.direction == "forward" else (1, 0)
-        for k, conn in enumerate(self.connectors):
-            if (conn.source, conn.target) != tuple(self.objects[k + e] for e in ends):
+    def __init__(self, objects: list[tuple], connectors: list[FinRel], direction: str):
+        ends = (0, 1) if direction == "forward" else (1, 0)
+        for k, conn in enumerate(connectors):
+            if (conn.source, conn.target) != tuple(objects[k + e] for e in ends):
                 raise ObjectMismatch(f"connector {k} endpoints misaligned")
+        self.objects, self.connectors, self.direction = objects, connectors, direction
 
 
 def _chain(functor: RelEndo, current: FinRel, length: int, direction: str) -> RelChain:
@@ -321,11 +315,18 @@ def nu_chain(functor: RelEndo, c_dagger: FinRel, length: int) -> RelChain:
     return _chain(functor, c_dagger, length, "backward")
 
 
-@dataclass(frozen=True)
 class StabilizationResult:
-    stabilized: bool
-    stage: Optional[int]
-    colimit: Optional[tuple]
+    def __init__(self, stabilized: bool, stage: int | None, colimit: tuple | None):
+        self.stabilized, self.stage, self.colimit = stabilized, stage, colimit
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.stabilized, self.stage, self.colimit) == (
+                other.stabilized, other.stage, other.colimit)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.stabilized, self.stage, self.colimit))
 
 
 def chain_colimit_stabilized(chain: RelChain) -> StabilizationResult:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional
 
 from .checks import verdict
 from .signature import (
@@ -52,25 +51,23 @@ class ArityMismatch(FixcatError):
     pass
 
 
-@dataclass(frozen=True)
 class Coalgebra:
-    """b : B -> F(B), with the structure stored as rank-1 terms over B."""
+    """b : B -> F(B), with the structure stored as rank-1 terms over B.
 
-    sig: Signature
-    carrier: tuple  # kept in stable str order, however given
-    structure: tuple  # pairs (x, Term of rank 1 over carrier), kept in str order of x
-    _rules: dict = field(init=False, repr=False, compare=False)
+    The carrier is kept in stable str order, however given, and the
+    structure as pairs (x, Term of rank 1 over the carrier) in str order of x.
+    """
 
-    def __post_init__(self):
-        carrier = _ordered(self.carrier)
-        structure = tuple(sorted(self.structure, key=lambda p: str(p[0])))
+    def __init__(self, sig: Signature, carrier: tuple, structure: tuple):
+        carrier = _ordered(carrier)
+        structure = tuple(sorted(structure, key=lambda p: str(p[0])))
         rules, members = {}, set(carrier)
         for x, t in structure:
             if x in rules:
                 raise FixcatError(f"structure gives {x!r} a second rule")
             if x not in members:
                 raise FixcatError(f"structure names {x!r} outside the carrier")
-            if t.rank != 1 or t.sig != self.sig:
+            if t.rank != 1 or t.sig != sig:
                 raise FixcatError(f"structure at {x!r} is not a rank-1 term")
             for leaf in _flat(t)[1]:
                 if leaf not in members:
@@ -79,7 +76,16 @@ class Coalgebra:
         if len(rules) < len(carrier):
             missing = next(x for x in carrier if x not in rules)
             raise FixcatError(f"structure not total: missing {missing!r}")
-        self.__dict__.update(carrier=carrier, structure=structure, _rules=rules)
+        self.sig, self.carrier, self.structure, self._rules = sig, carrier, structure, rules
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sig, self.carrier, self.structure) == (
+                other.sig, other.carrier, other.structure)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sig, self.carrier, self.structure))
 
     def rule(self, x) -> Term:
         return self._rules[x]
@@ -93,21 +99,20 @@ def coalgebra(sig: Signature, carrier: Iterable, structure: Mapping) -> Coalgebr
     return Coalgebra(sig, tuple(carrier), tuple(dict(structure).items()))
 
 
-@dataclass(frozen=True)
 class Algebra:
-    """a : F(A) -> A, stored as a total table on the rank-1 terms over A."""
+    """a : F(A) -> A, stored as a total table on the rank-1 terms over A.
 
-    sig: Signature
-    carrier: tuple  # kept in stable str order, however given
-    structure: tuple  # pairs (Term of rank 1 over carrier, element), kept in sort_key order
-    table: dict = field(init=False, repr=False, compare=False)  # (symbol, args) -> value
+    The carrier is kept in stable str order, however given, the structure as
+    pairs (Term of rank 1 over the carrier, element) in sort_key order, and
+    the table maps (symbol, args) to the value.
+    """
 
-    def __post_init__(self):
-        carrier = _ordered(self.carrier)
-        structure = tuple(sorted(self.structure, key=lambda p: p[0].sort_key()))
+    def __init__(self, sig: Signature, carrier: tuple, structure: tuple):
+        carrier = _ordered(carrier)
+        structure = tuple(sorted(structure, key=lambda p: p[0].sort_key()))
         table, members = {}, set(carrier)
         for t, value in structure:
-            if t.rank != 1 or t.sig != self.sig:
+            if t.rank != 1 or t.sig != sig:
                 raise FixcatError(f"structure entry {term_to_str(t)} is not a rank-1 term")
             key = _flat(t)
             if key in table:
@@ -121,10 +126,13 @@ class Algebra:
             table[key] = value
         # total iff every element of F(A) is a key: count the keys, and only
         # search F(A) (lazily, it may be huge) when one is missing
-        if len(table) < count_rank(self.sig, len(carrier), 1):
-            missing = next(t for t in f_terms(self.sig, carrier) if _flat(t) not in table)
+        if len(table) < count_rank(sig, len(carrier), 1):
+            missing = next(t for t in f_terms(sig, carrier) if _flat(t) not in table)
             raise FixcatError(f"structure not total: missing {term_to_str(missing)}")
-        self.__dict__.update(carrier=carrier, structure=structure, table=table)
+        self.sig, self.carrier, self.structure, self.table = sig, carrier, structure, table
+
+    # equal when their signatures, carriers and structures are; never equal to a coalgebra
+    __eq__, __hash__ = Coalgebra.__eq__, Coalgebra.__hash__
 
     def apply(self, symbol: str, values: tuple):
         if len(values) != self.sig.arity(symbol):
@@ -157,23 +165,27 @@ def one_element_algebra(sig: Signature, label: str = "*") -> Algebra:
     return algebra(sig, (label,), {t: label for t in f_enumerate(sig, (label,))})
 
 
-@dataclass(frozen=True)
 class CoalgToAlgHom:
-    """f : B -> A with f(x) = a(F(f)(b(x))) for every x (the pivot square)."""
+    """f : B -> A with f(x) = a(F(f)(b(x))) for every x (the pivot square),
+    given as the pairs (x, f(x)) in carrier order."""
 
-    source: Coalgebra
-    target: Algebra
-    mapping: tuple  # pairs (x, f(x)) in carrier order
-    _map: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        f = dict(self.mapping)
-        for x in self.source.carrier:
+    def __init__(self, source: Coalgebra, target: Algebra, mapping: tuple):
+        f = dict(mapping)
+        for x in source.carrier:
             if x not in f:
                 raise FixcatError(f"hom not total: missing {x!r}")
-            if f[x] != _pivot(self.source, self.target, f, x):
+            if f[x] != _pivot(source, target, f, x):
                 raise FixcatError(f"square does not commute at {x!r}")
-        object.__setattr__(self, "_map", f)
+        self.source, self.target, self.mapping, self._map = source, target, mapping, f
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.mapping) == (
+                other.source, other.target, other.mapping)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.mapping))
 
     def __call__(self, x):
         return self._map[x]
@@ -232,8 +244,8 @@ class ColimEq:
     class label (`colim_eq`), and then lists the pairs only when `rel` is read.
     """
 
-    def __init__(self, coalgebra: Coalgebra, rel: Optional[frozenset] = None,
-                 labels: Optional[Mapping] = None):
+    def __init__(self, coalgebra: Coalgebra, rel: frozenset | None = None,
+                 labels: Mapping | None = None):
         carrier = coalgebra.carrier
         if labels is None:
             labels = {x: next(y for y in carrier if (x, y) in rel) for x in carrier}
@@ -299,9 +311,9 @@ class MuElement:
 
     __slots__ = ("coalgebra", "rank", "node", "below", "nodes", "_term")
 
-    def __init__(self, coalgebra: Coalgebra, representative: Optional[Term] = None,
-                 node: Optional[int] = None, below: tuple = (),
-                 nodes: Optional[NodeTable] = None, rank: Optional[int] = None):
+    def __init__(self, coalgebra: Coalgebra, representative: Term | None = None,
+                 node: int | None = None, below: tuple = (),
+                 nodes: NodeTable | None = None, rank: int | None = None):
         self.coalgebra, self.node, self.below, self.nodes = coalgebra, node, below, nodes
         self._term = representative
         self.rank = representative.rank if representative is not None else rank
@@ -329,7 +341,7 @@ def mu_element(b: Coalgebra, term: Term) -> MuElement:
     return MuElement(b, term)
 
 
-def mu_eq(e1: MuElement, e2: MuElement, eq: Optional[ColimEq] = None) -> bool:
+def mu_eq(e1: MuElement, e2: MuElement, eq: ColimEq | None = None) -> bool:
     """Colimit equality: equal canonical keys at the higher of the two ranks."""
     if e1.coalgebra != e2.coalgebra:
         raise FixcatError("mu elements live over different coalgebras")
@@ -368,9 +380,10 @@ def mu_enumerate(b: Coalgebra, max_rank: int, cap: int = DEFAULT_TERM_CAP) -> li
     frontier: dict = {}  # node of a class, unfolded to the rank -> class index
     order: list = []  # the nodes of the terms of the rank, in sort_key order
     place: dict = {}  # if tied: node of a term of the rank below -> its place in order
-    seen = 0
+    seen, count = 0, len(b.carrier)
     for rank in range(max_rank + 1):
-        count = count_rank(b.sig, len(b.carrier), rank)
+        if rank:
+            count = count_rank(b.sig, count, 1)
         if count > cap:
             raise CapExceeded(rank, count, cap)
         seen += count
@@ -452,14 +465,12 @@ def collapse_bottom(t: Term, a: Algebra) -> Term:
     return Term.derived(t.sig, bottom, fold(t.tree, lambda x, depth: x, op))
 
 
-@dataclass
 class NuApprox:
     """Stages F^k(A) for k <= depth; `collapse_bottom` projects each stage
     onto the one below."""
 
-    algebra: Algebra
-    depth: int
-    levels: list[list[Term]]
+    def __init__(self, algebra: Algebra, depth: int, levels: list[list[Term]]):
+        self.algebra, self.depth, self.levels = algebra, depth, levels
 
     def level_sizes(self) -> list[int]:
         return [len(level) for level in self.levels]
@@ -471,13 +482,12 @@ def nu_approx(a: Algebra, depth: int, cap: int = DEFAULT_TERM_CAP) -> NuApprox:
     return NuApprox(a, depth, levels)
 
 
-@dataclass
 class NuPointStream:
     """A point of nu(a): generator x's column of a hom's cone, read as one
     compatible term per rank."""
 
-    hom: CoalgToAlgHom
-    generator: object
+    def __init__(self, hom: CoalgToAlgHom, generator):
+        self.hom, self.generator = hom, generator
 
     def component(self, k: int) -> Term:
         """Stage k of the cone at the generator: stage 0 is f and stage j + 1

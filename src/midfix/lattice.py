@@ -12,8 +12,7 @@ iteration; monotonicity there is only checked on a sample grid.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 
 class LatticeError(ValueError):
@@ -77,21 +76,28 @@ def _positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class FinLattice:
     """A finite complete lattice: elements plus a validated order relation.
 
     Element i also carries two bitmasks over element positions: up[i] holds
     the elements above it, down[i] those below it (both include i).  Joins
     and meets are intersections of these masks (Ait-Kaci et al., Efficient
-    Implementation of Lattice Operations, TOPLAS 1989).
+    Implementation of Lattice Operations, TOPLAS 1989).  Lattices are equal
+    when their elements and order are.
     """
 
-    elements: tuple
-    leq: frozenset  # pairs (x, y) with x <= y, reflexive pairs included
-    up: tuple = field(compare=False, repr=False)
-    down: tuple = field(compare=False, repr=False)
-    position: dict = field(compare=False, repr=False)  # element -> its bit position
+    def __init__(self, elements: tuple, leq: frozenset, up: tuple, down: tuple,
+                 position: dict):
+        self.elements, self.leq = elements, leq  # leq: the pairs x <= y, reflexive ones included
+        self.up, self.down, self.position = up, down, position  # position: element -> its bit
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.elements, self.leq) == (other.elements, other.leq)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.elements, self.leq))
 
     def le(self, x, y) -> bool:
         return (x, y) in self.leq
@@ -166,16 +172,20 @@ def check_lattice(elements: Iterable, leq_pairs: Iterable[tuple]) -> FinLattice:
     return FinLattice(elems, frozenset(pairs), tuple(up), tuple(down), position)
 
 
-@dataclass(frozen=True)
 class MonotoneMap:
-    """A validated monotone endofunction on a finite lattice."""
+    """A validated monotone endofunction on a finite lattice, given as the
+    pairs (x, f(x)), sorted for canonical equality."""
 
-    lattice: FinLattice
-    mapping: tuple  # pairs (x, f(x)), sorted for canonical equality
-    table: dict = field(init=False, compare=False, repr=False)
+    def __init__(self, lattice: FinLattice, mapping: tuple):
+        self.lattice, self.mapping, self.table = lattice, mapping, dict(mapping)
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", dict(self.mapping))
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lattice, self.mapping) == (other.lattice, other.mapping)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lattice, self.mapping))
 
     def __call__(self, x):
         return self.table[x]
@@ -200,15 +210,10 @@ def check_monotone(mapping: Mapping, lattice: FinLattice) -> MonotoneMap:
     return MonotoneMap(lattice, tuple(sorted(table.items(), key=lambda p: str(p))))
 
 
-@dataclass
 class FixpointReport:
-    pre_fixed: tuple
-    post_fixed: tuple
-    fixed: tuple
-    mu_table: dict = field(default_factory=dict)
-    nu_table: dict = field(default_factory=dict)
-    galois_ok: bool = True
-    violations: list = field(default_factory=list)
+    def __init__(self, pre_fixed: tuple, post_fixed: tuple, fixed: tuple):
+        self.pre_fixed, self.post_fixed, self.fixed = pre_fixed, post_fixed, fixed
+        self.mu_table, self.nu_table, self.galois_ok, self.violations = {}, {}, True, []
 
 
 def classify_points(f: MonotoneMap) -> FixpointReport:
@@ -303,25 +308,27 @@ DEFAULT_MAX_ITERATIONS = 10 ** 6
 DEFAULT_SAMPLE_GRID = 1024
 
 
-@dataclass
 class IntervalMap:
     """A monotone self-map of [0, 1], checked on a sample grid only."""
 
-    fn: Callable[[float], float]
-    sample_grid: int = DEFAULT_SAMPLE_GRID
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-
-    def __post_init__(self):
-        if self.sample_grid <= 0 or self.tolerance <= 0 or self.max_iterations <= 0:
+    def __init__(
+        self,
+        fn: Callable[[float], float],
+        sample_grid: int = DEFAULT_SAMPLE_GRID,
+        tolerance: float = DEFAULT_TOLERANCE,
+        max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    ):
+        if sample_grid <= 0 or tolerance <= 0 or max_iterations <= 0:
             raise LatticeError("grid, tolerance and max_iterations must be positive")
+        self.fn, self.sample_grid = fn, sample_grid
+        self.tolerance, self.max_iterations = tolerance, max_iterations
         xs = self.grid()
-        values = [self.fn(x) for x in xs]
+        values = [fn(x) for x in xs]
         for x, v in zip(xs, values):
             if not 0.0 <= v <= 1.0:
                 raise LatticeError(f"fn({x}) = {v} leaves [0, 1]")
         for (x, vx), (y, vy) in itertools.combinations(zip(xs, values), 2):
-            if x <= y and vx > vy + self.tolerance:
+            if x <= y and vx > vy + tolerance:
                 raise NotMonotone((x, y))
 
     def grid(self) -> list[float]:
@@ -329,11 +336,9 @@ class IntervalMap:
         return [i / (n - 1) for i in range(n)] if n > 1 else [0.0]
 
 
-@dataclass(frozen=True)
 class IntervalFixpoint:
-    value: float
-    residual: float
-    iterations: int
+    def __init__(self, value: float, residual: float, iterations: int):
+        self.value, self.residual, self.iterations = value, residual, iterations
 
 
 def _iterate_interval(im: IntervalMap, x: float) -> IntervalFixpoint:
@@ -388,7 +393,7 @@ def five_fixpoint_map(
 
 
 def locate_interval_fixpoints(
-    im: IntervalMap, grid: Optional[int] = None, refine_tol: float = 1e-12
+    im: IntervalMap, grid: int | None = None, refine_tol: float = 1e-12
 ) -> list[float]:
     """Numerically locate fixpoints of fn by sign scan of fn(x) - x plus bisection.
 

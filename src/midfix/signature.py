@@ -25,8 +25,7 @@ table belongs to the computation that made it and dies with it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 Tree = tuple  # ("var", label) | ("op", symbol, (Tree, ...))
 
@@ -144,23 +143,27 @@ class NodeTable:
         return self.fold(node, str, _render, cache)
 
 
-@dataclass(frozen=True)
 class Signature:
     """A finite set of (symbol, arity) pairs with distinct symbols, kept in
     symbol order: signatures that list the same operations are equal."""
 
-    ops: tuple[tuple[str, int], ...]
-    arities: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, ops: tuple[tuple[str, int], ...]):
         arities = {}
-        for name, arity in self.ops:
+        for name, arity in ops:
             if name in arities:
                 raise SignatureError(f"duplicate operation symbol {name!r}")
             if arity < 0:
                 raise SignatureError(f"negative arity for {name!r}")
             arities[name] = arity
-        self.__dict__.update(ops=tuple(sorted(self.ops)), arities=arities)
+        self.ops, self.arities = tuple(sorted(ops)), arities
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ops == other.ops
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ops,))
 
     def arity(self, symbol: str) -> int:
         try:
@@ -176,15 +179,15 @@ def signature(ops: Iterable[tuple[str, int]]) -> Signature:
     return Signature(tuple(ops))
 
 
-@dataclass(frozen=True)
 class Term:
     """An element of F^rank(X): a tree with all generator leaves at depth rank."""
 
-    sig: Signature
-    rank: int
-    tree: Tree
+    def __init__(self, sig: Signature, rank: int, tree: Tree):
+        self.sig, self.rank, self.tree = sig, rank, tree
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the tree: the one validation, which `derived` skips."""
         if self.rank < 0:
             raise SignatureError("rank must be >= 0")
         sig, rank = self.sig, self.rank
@@ -211,8 +214,16 @@ class Term:
     def derived(cls, sig: Signature, rank: int, tree: Tree) -> Term:
         """A term the library built from checked terms: not validated again."""
         term = object.__new__(cls)
-        term.__dict__.update(sig=sig, rank=rank, tree=tree)
+        term.sig, term.rank, term.tree = sig, rank, tree
         return term
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sig, self.rank, self.tree) == (other.sig, other.rank, other.tree)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sig, self.rank, self.tree))
 
     def leaves(self) -> list:
         """Generator-leaf labels in left-to-right order."""
@@ -255,8 +266,10 @@ def enumerate_rank(
 ) -> list[Term]:
     """All elements of F^rank(X), deterministically ordered; errors past the cap."""
     gens = sorted(generators, key=str)
+    count = len(gens)
     for level in range(rank + 1):
-        count = count_rank(sig, len(gens), level)
+        if level:
+            count = count_rank(sig, count, 1)
         if count > cap:
             raise CapExceeded(level, count, cap)
     trees = [("var", x) for x in gens]
@@ -285,7 +298,7 @@ def unfold(t: Term, assignment: Mapping, times: int) -> Term:
     return t
 
 
-def map_leaves(t: Term, relabel: Union[Mapping, Callable]) -> Term:
+def map_leaves(t: Term, relabel: Mapping | Callable) -> Term:
     """Relabel generator leaves; tree shape and rank are preserved."""
     get = relabel.__getitem__ if isinstance(relabel, Mapping) else relabel
     tree = subst(t.tree, lambda label: ("var", get(label)))

@@ -9,7 +9,6 @@ which surface as the owning module's exceptions.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from . import dagger, fixcat, lattice as lat
 from .signature import Signature, Term, signature, term_to_str
@@ -92,7 +91,7 @@ def load_json(text: str) -> dict:
 # -- lattices -----------------------------------------------------------------
 
 
-def parse_lattice(obj: dict) -> tuple[lat.FinLattice, Optional[lat.MonotoneMap]]:
+def parse_lattice(obj: dict) -> tuple[lat.FinLattice, lat.MonotoneMap | None]:
     elements = _scalars(_require(obj, "elements", "lattice"), "lattice.elements")
     leq = _pairs(_require(obj, "leq", "lattice"), "lattice.leq")
     lattice = lat.check_lattice(elements, leq)
@@ -103,7 +102,7 @@ def parse_lattice(obj: dict) -> tuple[lat.FinLattice, Optional[lat.MonotoneMap]]
     return lattice, lat.check_monotone(mapping, lattice)
 
 
-def lattice_to_json(lattice: lat.FinLattice, f: Optional[lat.MonotoneMap] = None) -> dict:
+def lattice_to_json(lattice: lat.FinLattice, f: lat.MonotoneMap | None = None) -> dict:
     out = {
         "elements": list(lattice.elements),
         "leq": sorted([list(p) for p in lattice.leq]),

@@ -10,6 +10,7 @@ from midfix.dagger import (
     FinRel,
     ObjectMismatch,
     RelError,
+    StabilizationResult,
     all_relations,
     chain_colimit_stabilized,
     coincidence_check,
@@ -181,6 +182,9 @@ class TestChains:
         chain = mu_chain(functor, c, 6)
         result = chain_colimit_stabilized(chain)
         assert result.stabilized and result.stage == 1 and result.colimit == k
+        same = StabilizationResult(True, 1, k)
+        assert result == same and hash(result) == hash(same)
+        assert result != StabilizationResult(True, 0, k) and result != (True, 1, k)
 
     def test_identity_functor_non_bijection_never_stabilizes(self):
         functor = identity_endofunctor()

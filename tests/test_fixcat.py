@@ -165,6 +165,15 @@ def test_input_order_changes_no_coalgebra_algebra_or_result(seed, data):
         (e.rank, term_to_str(e.representative)) for e in classes
     ]
     assert adjunction_check(b2, a2, 2, 3) == adjunction_check(b, a, 2, 3)
+    # equality reads the signature, carrier and structure (a hom's: its ends
+    # and pairs), not the tables built from them, and an object of another
+    # type is never equal
+    homs, homs2 = enumerate_coalg_to_alg(b, a), enumerate_coalg_to_alg(b2, a2)
+    b2._rules, a2.table = {}, {}
+    for hom in homs2:
+        hom._map = {}
+    assert (b2, a2, homs2) == (b, a, homs) and hash((b2, a2, *homs2)) == hash((b, a, *homs))
+    assert b != a and b != b.structure and a != (a.sig, a.carrier, a.structure)
 
 
 class TestHomEnumeration:

@@ -5,9 +5,11 @@ import pytest
 
 from midfix.lattice import (
     FIVE_FIXPOINTS,
+    FinLattice,
     IntervalMap,
     LatticeError,
     MissingJoinOrMeet,
+    MonotoneMap,
     NoConvergence,
     NotAPartialOrder,
     NotMonotone,
@@ -62,6 +64,15 @@ class TestCheckLattice:
         diamond = check_lattice(["bot", "a", "b", "top"], leq)
         assert diamond.join("a", "b") == "top"
         assert diamond.meet("a", "b") == "bot"
+        # lattices are equal when their elements and order are, whatever their
+        # bit tables, and so are monotone maps on them; other types never are
+        again = FinLattice(diamond.elements, diamond.leq, (), (), {})
+        assert again == diamond and hash(again) == hash(diamond)
+        f = check_monotone({x: x for x in diamond.elements}, diamond)
+        g = MonotoneMap(again, f.mapping)
+        g.table = {}
+        assert g == f and hash(g) == hash(f)
+        assert f != diamond and diamond != (diamond.elements, diamond.leq)
 
     def test_broken_antisymmetry_reported_with_witness(self):
         with pytest.raises(NotAPartialOrder) as err:

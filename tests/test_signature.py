@@ -40,6 +40,15 @@ class TestSignature:
         assert listed == reversed_ and hash(listed) == hash(reversed_)
         assert listed.ops == (("n", 2), ("s", 1), ("z", 0)) == tuple(listed.sorted_ops())
         assert rank1(listed, "s", "x") == rank1(reversed_, "s", "x")
+        # a term the library derives equals the validated one; equality reads
+        # the operations and the term, not the arity table, and an object of
+        # another type is never equal
+        t = rank1(listed, "s", "x")
+        derived = Term.derived(reversed_, 1, ("op", "s", (("var", "x"),)))
+        assert derived == t and hash(derived) == hash(t)
+        assert listed != listed.ops and t != (listed, 1, t.tree) and t != listed
+        reversed_.arities = {}
+        assert listed == reversed_ and hash(listed) == hash(reversed_)
 
     def test_arity_lookup(self):
         sig = signature([("z", 0), ("s", 1)])

@@ -237,6 +237,31 @@ class TestExitCodes:
         assert [c["rank"] for c in classes] == list(range(301))
         assert classes[-1]["representative"] == "s(" * 299 + "z" + ")" * 299
 
+    # over one constant every stage holds one term; counting each stage from
+    # stage 0 again made mu quadratic in --max-rank (15 s at 8000) and nu
+    # cubic in --depth (11 s at 500)
+    def test_long_mu_over_one_constant_completes(self, tmp_path):
+        spec = {
+            "sig": {"ops": [{"name": "z", "arity": 0}]},
+            "carrier": ["p"],
+            "structure": {"p": {"op": "z", "args": []}},
+        }
+        path = tmp_path / "stop.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("mu", str(path), "--max-rank", "8000", timeout=5)
+        assert proc.returncode == 0 and json.loads(proc.stdout)["class_count"] == 1
+
+    def test_deep_nu_over_one_constant_completes(self, tmp_path):
+        spec = {
+            "sig": {"ops": [{"name": "z", "arity": 0}]},
+            "carrier": ["a"],
+            "structure": [{"op": "z", "args": [], "value": "a"}],
+        }
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("nu", str(path), "--depth", "500", timeout=5)
+        assert proc.returncode == 0 and json.loads(proc.stdout)["level_sizes"] == [1] * 501
+
     @pytest.mark.parametrize(
         "command,spec,error",
         [
@@ -766,6 +791,26 @@ class TestStdin:
             text=True,
         )
         assert proc.returncode == 0
+
+
+class TestStartUp:
+    def test_cli_import_loads_no_dataclasses_or_typing(self):
+        # every command pays this import: dataclasses brings inspect, ast, dis
+        # and tokenize, and -S keeps typing out unless midfix imports it
+        code = (
+            "import sys; before = set(sys.modules); import midfix.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(SPECS.parent / "src")),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        added = set(proc.stdout.split())
+        assert "midfix.cli" in added
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 
 
 class TestReportShape:
