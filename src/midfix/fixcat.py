@@ -28,13 +28,11 @@ from .signature import (
     NodeTable,
     Signature,
     Term,
-    Tree,
     count_rank,
     enumerate_rank,
     f_enumerate,
     f_terms,
     fold,
-    subst,
     term_to_str,
     unfold,
 )
@@ -52,7 +50,7 @@ class ArityMismatch(FixcatError):
 
 
 class Coalgebra:
-    """b : B -> F(B), with the structure stored as rank-1 terms over B.
+    """b : B -> F(B), stored as the table x -> (symbol, (x_1..x_k)).
 
     The carrier is kept in stable str order, however given, and the
     structure as pairs (x, Term of rank 1 over the carrier) in str order of x.
@@ -61,22 +59,22 @@ class Coalgebra:
     def __init__(self, sig: Signature, carrier: tuple, structure: tuple):
         carrier = _ordered(carrier)
         structure = tuple(sorted(structure, key=lambda p: str(p[0])))
-        rules, members = {}, set(carrier)
+        table, members = {}, set(carrier)
         for x, t in structure:
-            if x in rules:
+            if x in table:
                 raise FixcatError(f"structure gives {x!r} a second rule")
             if x not in members:
                 raise FixcatError(f"structure names {x!r} outside the carrier")
             if t.rank != 1 or t.sig != sig:
                 raise FixcatError(f"structure at {x!r} is not a rank-1 term")
-            for leaf in _flat(t)[1]:
+            table[x] = _flat(t)
+            for leaf in table[x][1]:
                 if leaf not in members:
                     raise FixcatError(f"structure at {x!r} uses unknown {leaf!r}")
-            rules[x] = t
-        if len(rules) < len(carrier):
-            missing = next(x for x in carrier if x not in rules)
+        if len(table) < len(carrier):
+            missing = next(x for x in carrier if x not in table)
             raise FixcatError(f"structure not total: missing {missing!r}")
-        self.sig, self.carrier, self.structure, self._rules = sig, carrier, structure, rules
+        self.sig, self.carrier, self.structure, self.table = sig, carrier, structure, table
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -88,11 +86,11 @@ class Coalgebra:
         return hash((self.sig, self.carrier, self.structure))
 
     def rule(self, x) -> Term:
-        return self._rules[x]
+        return self.rules()[x]
 
     def rules(self) -> dict:
-        """The structure as a dict x -> b(x); shared, not a copy."""
-        return self._rules
+        """The structure as a new dict x -> b(x) of rank-1 terms."""
+        return dict(self.structure)
 
 
 def coalgebra(sig: Signature, carrier: Iterable, structure: Mapping) -> Coalgebra:
@@ -199,14 +197,14 @@ def next_stage(b: Coalgebra, stage: Mapping, node: Callable) -> dict:
     b(y) = symbol(z_1..z_m) and the children are stage[z_1]..stage[z_m]."""
     out = {}
     for y in b.carrier:
-        symbol, leaves = _flat(b.rule(y))
+        symbol, leaves = b.table[y]
         out[y] = node(symbol, tuple(stage[z] for z in leaves))
     return out
 
 
 def _pivot(b: Coalgebra, a: Algebra, f: Mapping, x):
     """a(F(f)(b(x))): the value the pivot square demands of f at x."""
-    symbol, leaves = _flat(b.rule(x))
+    symbol, leaves = b.table[x]
     return a.table[(symbol, tuple(f[y] for y in leaves))]
 
 
@@ -237,8 +235,9 @@ class ColimEq:
     each leaf of t to its class label, the member of the class that comes
     first in carrier order, and unfolds the result up to `rank`.
     Two terms are colimit-equal iff their keys at any common rank >= both
-    ranks are equal.  `_rules` relabelled to the class labels is the
-    quotient coalgebra b/~, over which a term is its own key.
+    ranks are equal.  The quotient coalgebra b/~ lives in the `NodeTable`
+    `nodes`: `_rules` maps each generator to the node of b(x) over the class
+    labels, and over the labels a term is its own key.
 
     It is made from the pairs of the relation, or from each generator's
     class label (`colim_eq`), and then lists the pairs only when `rel` is read.
@@ -250,11 +249,12 @@ class ColimEq:
         if labels is None:
             labels = {x: next(y for y in carrier if (x, y) in rel) for x in carrier}
             self.rel = rel
-        self.coalgebra = coalgebra
+        self.coalgebra, self.nodes = coalgebra, NodeTable()
         self._leaf = {x: ("var", labels[x]) for x in carrier}  # x -> ("var", its label)
-        # members of one class unfold to the same relabelled tree, so
+        # members of one class unfold to the same relabelled node, so
         # unfolding a key through any member is well defined
-        self._rules = {x: subst(coalgebra.rule(x).tree, self._leaf.__getitem__) for x in carrier}
+        label_nodes = {x: self.nodes.node(leaf) for x, leaf in self._leaf.items()}
+        self._rules = next_stage(coalgebra, label_nodes, self.nodes.op)
 
     @cached_property
     def rel(self) -> frozenset:
@@ -267,12 +267,14 @@ class ColimEq:
     def same(self, x, y) -> bool:
         return self._leaf[x] == self._leaf[y]
 
-    def key(self, t: Term, rank: int) -> Tree:
-        """The canonical form of t at rank (>= t.rank)."""
-        tree = subst(t.tree, self._leaf.__getitem__)
+    def key(self, t: Term, rank: int) -> int:
+        """The canonical form of t at rank (>= t.rank): a node of `nodes`, so
+        keys compare within one `ColimEq` only."""
+        nodes, leaf, unfolded = self.nodes, self._leaf, {}
+        node = fold(t.tree, lambda x, d: nodes.node(leaf[x]), lambda s, kids, d: nodes.op(s, kids))
         for _ in range(rank - t.rank):
-            tree = subst(tree, self._rules.__getitem__)
-        return tree
+            node = nodes.subst(node, self._rules.__getitem__, unfolded)
+        return node
 
 
 def colim_eq(b: Coalgebra) -> ColimEq:
@@ -365,15 +367,14 @@ def mu_enumerate(b: Coalgebra, max_rank: int, cap: int = DEFAULT_TERM_CAP) -> li
     the children's places in the order of the rank below (tied children
     share a place).  The classes found at lower ranks are carried one
     unfolding up per rank, each node unfolded once, so dedup is an int
-    lookup.  Nodes go into a fresh table, which every class keeps with its
-    node and its children's classes; it builds its representative only when
-    read.  The cap counts the terms of F^r(B), as an enumeration over all of
-    B would meet them.
+    lookup.  Nodes go into the table of b/~ (`ColimEq.nodes`), which every
+    class keeps with its node and its children's classes; it builds its
+    representative only when read.  The cap counts the terms of F^r(B), as
+    an enumeration over all of B would meet them.
     """
-    nodes = NodeTable()
     eq = colim_eq(b)
+    nodes, rules = eq.nodes, eq._rules.__getitem__  # b/~
     gens = [x for x in b.carrier if eq._leaf[x] == ("var", x)]
-    rules = {x: nodes.intern(eq._rules[x]) for x in gens}  # b/~
     tied = len(set(map(str, gens))) < len(gens)  # labels that print alike
     unfolded: dict = {}
     classes: list[MuElement] = []
@@ -394,7 +395,7 @@ def mu_enumerate(b: Coalgebra, max_rank: int, cap: int = DEFAULT_TERM_CAP) -> li
             order = [nodes.node(("var", x)) for x in gens]
             keys = dict(zip(order, map(str, gens)))
         else:
-            frontier = {nodes.subst(k, rules.__getitem__, unfolded): i for k, i in below.items()}
+            frontier = {nodes.subst(k, rules, unfolded): i for k, i in below.items()}
             order = [
                 nodes.op(symbol, kids)
                 for symbol, arity in b.sig.ops
@@ -510,7 +511,7 @@ class NuPointStream:
         b, f = self.hom.source, self.hom._map
         reach = {self.generator} if depth > 0 else set()
         for _ in range(depth - 1):
-            reach = reach.union(*(_flat(b.rule(y))[1] for y in reach))
+            reach = reach.union(*(b.table[y][1] for y in reach))
         return all(_pivot(b, self.hom.target, f, y) == f[y] for y in reach)
 
 
@@ -557,12 +558,9 @@ def adjunction_check(
     homs = enumerate_coalg_to_alg(b, a, cap)
     classes = mu_enumerate(b, max_rank, cap)
 
-    # (i) induced folds are algebra homomorphisms on the enumerated classes.
-    # sigma(e_1..e_m) pads its arguments to their highest rank R and wraps
-    # them in sigma, so its fold is a(sigma, folds of the padded arguments).
-    # Padding a class j ranks unfolds each of its leaves j times through b,
-    # and such an unfolding of x folds to stage j of the hom's cone at x, so
-    # the padded class folds as its own node read through stage j.
+    # (i) induced folds are algebra homomorphisms on the enumerated classes:
+    # the fold of sigma(e_1..e_m), whose arguments are padded to their
+    # highest rank, is a(sigma, folds of e_1..e_m)
     applications = sum(len(classes) ** ar for _, ar in b.sig.ops) * max(len(homs), 1)
     if applications > cap:
         raise CapExceeded(
@@ -576,28 +574,20 @@ def adjunction_check(
         cache: dict = {}  # node -> its fold through this hom
         values = tuple([e.nodes.fold(e.node, hom, a.apply, cache) for e in classes])
         folds.append(values)
-        # stage 1 is f for a hom, and then so is every stage, so padding
-        # changes no fold; only a table changed since the homs were found
-        # gets past this
-        stages = [hom._map, next_stage(b, hom._map, a.apply)]
-        if stages[1] == hom._map:
+        # padding unfolds leaves through b, and an unfolding folds as stage 1
+        # of the hom's cone, which is f for a hom, so padding changes no fold;
+        # only a table changed since the homs were found gets past this
+        if next_stage(b, hom._map, a.apply) == hom._map:
             continue
-        while len(stages) <= max_rank:
-            stages.append(next_stage(b, stages[-1], a.apply))
-        caches = [{} for _ in stages]  # per stage: node -> its fold read through it
         for symbol, arity in b.sig.ops:
             for combo in itertools.product(range(len(classes)), repeat=arity):
-                rank = classes[max(combo)].rank if combo else 0
-                padded = []
-                for i in combo:
-                    e, j = classes[i], rank - classes[i].rank
-                    padded.append(e.nodes.fold(e.node, stages[j].__getitem__, a.apply, caches[j]))
-                lhs = a.apply(symbol, tuple(padded))
+                args = [classes[i] for i in combo]
+                lhs = induced_alg_hom(hom, mu_algebra_apply(b, symbol, args))
                 if lhs != a.apply(symbol, tuple(values[i] for i in combo)):
                     alg_witness = {
                         "hom": hom.as_dict(),
                         "symbol": symbol,
-                        "args": [term_to_str(classes[i].representative) for i in combo],
+                        "args": [term_to_str(e.representative) for e in args],
                     }
 
     # (ii) induced streams satisfy the coalgebra square, depth-bounded; the
@@ -657,7 +647,7 @@ def is_wellfounded(b: Coalgebra) -> bool:
     """No cycle in the generator dependency graph x -> leaves of b(x): peel
     the generators whose leaves are all peeled until none is left to peel;
     b is well-founded iff that empties the carrier."""
-    waiting = {x: set(_flat(b.rule(x))[1]) for x in b.carrier}  # x -> its unpeeled leaves
+    waiting = {x: set(b.table[x][1]) for x in b.carrier}  # x -> its unpeeled leaves
     users: dict = {}  # y -> the generators with y as a leaf
     for x, leaves in waiting.items():
         for y in leaves:

@@ -196,6 +196,9 @@ class MonotoneMap:
 
 def check_monotone(mapping: Mapping, lattice: FinLattice) -> MonotoneMap:
     table = dict(mapping)
+    for x in table:
+        if x not in lattice.position:
+            raise LatticeError(f"map names {x!r} outside the lattice")
     for x in lattice.elements:
         if x not in table:
             raise LatticeError(f"map not total: missing {x!r}")

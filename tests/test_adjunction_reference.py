@@ -4,9 +4,10 @@
 versions from before node tables, kept verbatim as a reference: every
 application sigma(e_1..e_m) is padded and folded from scratch once per hom,
 and the uniqueness step re-keys every class and child with `ColimEq.key`.
-The library now pads each class once per rank and folds each node once per
-hom; its reports must be the same, also for algebras whose table changes
-after the homs were enumerated, so that the checks fail.
+The library folds each node once per hom, and pads and folds whole trees
+only for a hom that the algebra's table no longer satisfies; its reports
+must be the same, also for algebras whose table changes after the homs
+were enumerated, so that the checks fail.
 
 `_graft` is the library helper the reference's coalgebra side grafts with,
 copied here verbatim: the library no longer grafts, since component k + 1
@@ -47,6 +48,7 @@ from midfix.signature import (
     NodeTable,
     Signature,
     Term,
+    f_enumerate,
     fold,
     subst,
     term_to_str,
@@ -286,6 +288,29 @@ def test_broken_law_fails_each_law_check_with_the_reference_witnesses():
         "uniqueness",
     }
     assert all(failed.values())
+    assert reports[0] == _without_hom_enumeration(reports[1])
+
+
+def test_broken_law_of_a_later_hom_is_searched_against_its_own_folds():
+    """The loop p -> s(p) has the homs p -> 0 and p -> 1 into the algebra on
+    {0, 1} whose z is 0, whose s is the identity and whose n takes its first
+    argument.  With s(1) sent to 0 once they are found, only the second hom
+    breaks, and its padded folds differ from its own folds of the classes,
+    not from the first hom's."""
+    sig = Signature((("n", 2), ("s", 1), ("z", 0)))
+    b = Coalgebra(sig, ("p",), (("p", Term(sig, 1, ("op", "s", (("var", "p"),)))),))
+    a = Algebra(sig, ("0", "1"), tuple(
+        (t, t.tree[2][0][1] if t.tree[2] else "0") for t in f_enumerate(sig, ("0", "1"))
+    ))
+    reports = []
+    for check in (fixcat.adjunction_check, adjunction_check):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _break_after_enumeration(monkeypatch, ("s", ("1",)), "0")
+            reports.append(check(b, _copy(a), 2, 2))
+    assert reports[0]["hom_count"] == 2
+    assert reports[0]["checks"][0]["witness"] == {
+        "hom": {"p": "1"}, "symbol": "n", "args": ["n(p, p)", "s(z)"]
+    }
     assert reports[0] == _without_hom_enumeration(reports[1])
 
 

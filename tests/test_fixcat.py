@@ -169,7 +169,7 @@ def test_input_order_changes_no_coalgebra_algebra_or_result(seed, data):
     # and pairs), not the tables built from them, and an object of another
     # type is never equal
     homs, homs2 = enumerate_coalg_to_alg(b, a), enumerate_coalg_to_alg(b2, a2)
-    b2._rules, a2.table = {}, {}
+    b2.table, a2.table = {}, {}
     for hom in homs2:
         hom._map = {}
     assert (b2, a2, homs2) == (b, a, homs) and hash((b2, a2, *homs2)) == hash((b, a, *homs))
@@ -376,9 +376,13 @@ class TestMuEnumerate:
             eq = colim_eq(b)
             for e1, e2 in itertools.combinations(classes, 2):
                 assert not mu_eq(e1, e2, eq)
+            # a key is the node of t unfolded to the rank, leaves relabelled
+            label = {x: leaf[1] for x, leaf in eq._leaf.items()}
             for n in range(4):
                 for t in enumerate_rank(sig, b.carrier, n):
                     assert any(mu_eq(mu_element(b, t), c, eq) for c in classes)
+                    canonical = map_leaves(unfold(t, b.rules(), 3 - n), label)
+                    assert eq.nodes.tree(eq.key(t, 3)) == canonical.tree
 
     def test_empty_coalgebra_matches_enumerate_rank(self, nat_sig):
         empty = coalgebra(nat_sig, [], {})

@@ -103,6 +103,11 @@ class TestCheckMonotone:
         with pytest.raises(LatticeError):
             check_monotone({"0": "0"}, chain5)
 
+    def test_entry_for_a_non_element_rejected(self, chain5):
+        # the first such key in map order is named, even in a total map
+        with pytest.raises(LatticeError, match="map names '' outside the lattice"):
+            check_monotone({**{x: x for x in CHAIN5}, "": "x", "bogus": "0"}, chain5)
+
 
 class TestClassify:
     def test_step_map_classification(self, step):

@@ -592,6 +592,12 @@ class TestExitCodes:
                 },
                 "FixcatError: structure entry s(1) has value '2' outside the carrier",
             ),
+            # a map entry for a non-element, in a map that is otherwise total
+            (
+                "lattice-fixpoints",
+                {"elements": ["a"], "leq": [["a", "a"]], "map": {"a": "a", "bogus": "a"}},
+                "LatticeError: map names 'bogus' outside the lattice",
+            ),
         ],
     )
     def test_malformed_spec_exits_two(self, tmp_path, command, spec, error):
